@@ -67,6 +67,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/job"
 	"repro/internal/policy"
+	"repro/internal/registry"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/synth"
@@ -117,7 +118,7 @@ func RunWithBackfill(workloads []Workload, opts Options) (Result, error) {
 
 // RunWithBackfillContext is RunWithBackfill with cancellation support.
 func RunWithBackfillContext(ctx context.Context, workloads []Workload, opts Options) (Result, error) {
-	return core.Run(ctx, workloads, core.Config{Options: opts, EasyBackfill: true})
+	return registry.Describe(core.System(core.Config{EasyBackfill: true})).Run(ctx, workloads, opts)
 }
 
 // workers resolves a worker-count option (0 = all CPUs).

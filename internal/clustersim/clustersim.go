@@ -3,7 +3,7 @@
 // counterpart of the single-platform consolidation the paper evaluates.
 // Each instance is a full simulation of one registered system (its own
 // engine, node pool, accountant and provision service) opened through
-// the open/attach/finalize instance API; the orchestrator dispatches
+// its registered descriptor; the orchestrator dispatches
 // each service provider's workload to an instance at simulation time and
 // interleaves the instances' events in global time order.
 //
@@ -47,8 +47,8 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/events"
+	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/spot"
 	"repro/internal/systems"
@@ -59,11 +59,6 @@ import (
 // life of the run.
 type InstanceID int
 
-// DefaultCapacity is the node pool size of an instance that does not
-// constrain capacity — the paper's "large cloud platform", matching the
-// DRP/DawningCloud never-reject default.
-const DefaultCapacity = 1 << 20
-
 // DefaultWindow is the aggregation window for ClusterWindow events.
 const DefaultWindow = sim.Day
 
@@ -73,78 +68,13 @@ const DefaultWindow = sim.Day
 // share a seed.
 const instanceSeedStride = 104729
 
-// Backend is the open simulation a ProviderInstance wraps: a system
-// that can accept provider workloads incrementally and be driven by an
-// external loop through the sim step primitives. systems.FixedInstance,
-// systems.DRPInstance, core.Instance and spot.Instance all satisfy it.
-type Backend interface {
-	// Engine exposes the instance's simulation engine for stepping.
-	Engine() *sim.Engine
-	// Attach admits one (already validated) provider workload at the
-	// engine's current virtual time.
-	Attach(wl *systems.Workload) error
-	// Finalize settles accounting at horizon and assembles the Result.
-	Finalize(horizon sim.Time) (systems.Result, error)
-	// PoolLoad snapshots node pool occupancy.
-	PoolLoad() (inUse, capacity int)
-}
-
-// OpenBackend opens one instance's backend over a pool of capacity
-// nodes. opts carries the instance's derived seed.
-type OpenBackend func(capacity int, opts systems.Options) (Backend, error)
-
-// openBackend maps a canonical system name to its instance opener for
-// the built-in systems. (The blocking registry.Runner interface cannot
-// back a steppable instance, so federation support is a second, smaller
-// mapping; extensions with open/attach/finalize support can be added
-// here when the need arises.)
-// FederatedSystems lists the registered systems with federated instance
-// support, in presentation order.
-func FederatedSystems() []string {
-	return []string{"DCS", "SSP", "DRP", "DawningCloud", spot.Name}
-}
-
-// CanFederate reports whether the named system can back a federated
-// provider instance (has open/attach/finalize support).
-func CanFederate(system string) bool {
-	_, err := openBackend(system)
-	return err == nil
-}
-
-func openBackend(system string) (OpenBackend, error) {
-	switch system {
-	case "DCS":
-		return func(capacity int, opts systems.Options) (Backend, error) {
-			return systems.OpenFixed("DCS", true, capacity, opts)
-		}, nil
-	case "SSP":
-		return func(capacity int, opts systems.Options) (Backend, error) {
-			return systems.OpenFixed("SSP", false, capacity, opts)
-		}, nil
-	case "DRP":
-		return func(capacity int, opts systems.Options) (Backend, error) {
-			return systems.OpenDRP(capacity, opts)
-		}, nil
-	case "DawningCloud":
-		return func(capacity int, opts systems.Options) (Backend, error) {
-			return core.Open(capacity, core.Config{Options: opts})
-		}, nil
-	case spot.Name:
-		return func(capacity int, opts systems.Options) (Backend, error) {
-			return spot.Open(capacity, opts)
-		}, nil
-	}
-	return nil, fmt.Errorf("clustersim: system %q has no federated instance support (supported: %s)",
-		system, strings.Join(FederatedSystems(), ", "))
-}
-
 // InstanceConfig describes one provider instance of a federation.
 type InstanceConfig struct {
 	// Name labels the instance in results and events; empty derives
 	// "instance-<id>".
 	Name string
 	// Capacity is the instance's node pool size; zero means
-	// DefaultCapacity (never rejecting).
+	// systems.UnboundedCapacity (never rejecting).
 	Capacity int
 	// PricePerNodeHour is the instance's on-demand rate, observed by the
 	// cost-aware routing policy; zero means the paper's 2009 EC2 rate
@@ -154,9 +84,9 @@ type InstanceConfig struct {
 
 // Config describes a federation run.
 type Config struct {
-	// System is the registered system name every instance runs
-	// (federations are homogeneous; comparing systems is the scenario
-	// layer's job).
+	// System is the registered system name every instance runs; it
+	// must be registered with a descriptor (federations are
+	// homogeneous; comparing systems is the scenario layer's job).
 	System string
 	// Policy is the routing policy name (see RegisterPolicy).
 	Policy string
@@ -175,13 +105,13 @@ type Config struct {
 }
 
 // ProviderInstance is one federated provider: a stable identity plus the
-// open backend simulation it wraps.
+// open system instance it wraps.
 type ProviderInstance struct {
-	id      InstanceID
-	name    string
-	seed    int64
-	price   float64
-	backend Backend
+	id    InstanceID
+	name  string
+	seed  int64
+	price float64
+	inst  systems.Instance
 
 	attached   int
 	dispatched int
@@ -197,9 +127,6 @@ func (p *ProviderInstance) Name() string { return p.name }
 // seed and the InstanceID, so per-instance randomness is independent of
 // instance count and event interleaving.
 func (p *ProviderInstance) Seed() int64 { return p.seed }
-
-// Backend exposes the wrapped open simulation.
-func (p *ProviderInstance) Backend() Backend { return p.backend }
 
 // InstanceState is one instance's observable state in the snapshot a
 // routing policy receives at dispatch time.
@@ -290,15 +217,17 @@ type ClusterSim struct {
 	walkHour []int64
 }
 
-// New builds a federation from cfg: every instance's backend is opened
-// (empty, clock at zero) and the routing policy is instantiated.
+// New builds a federation from cfg: every instance is opened through
+// the system's registered descriptor (empty, clock at zero) and the
+// routing policy is instantiated.
 func New(cfg Config) (*ClusterSim, error) {
 	if len(cfg.Instances) == 0 {
 		return nil, fmt.Errorf("clustersim: federation needs at least one instance")
 	}
-	open, err := openBackend(cfg.System)
-	if err != nil {
-		return nil, err
+	d, ok := registry.Default.Descriptor(cfg.System)
+	if !ok {
+		return nil, fmt.Errorf("clustersim: system %q has no federated instance support (supported: %s)",
+			cfg.System, strings.Join(registry.Default.Instanced(), ", "))
 	}
 	policy, err := NewPolicy(cfg.Policy, PolicyConfig{
 		Instances: len(cfg.Instances),
@@ -322,7 +251,7 @@ func New(cfg Config) (*ClusterSim, error) {
 		}
 		capacity := ic.Capacity
 		if capacity == 0 {
-			capacity = DefaultCapacity
+			capacity = systems.UnboundedCapacity
 		}
 		price := ic.PricePerNodeHour
 		if price == 0 {
@@ -332,16 +261,16 @@ func New(cfg Config) (*ClusterSim, error) {
 		opts := cfg.Options
 		opts.Seed = seed
 		opts.PoolCapacity = capacity
-		backend, err := open(capacity, opts)
+		inst, err := d.Open(capacity, opts)
 		if err != nil {
 			return nil, fmt.Errorf("clustersim: open instance %q: %w", name, err)
 		}
 		c.instances = append(c.instances, &ProviderInstance{
-			id:      InstanceID(i),
-			name:    name,
-			seed:    seed,
-			price:   price,
-			backend: backend,
+			id:    InstanceID(i),
+			name:  name,
+			seed:  seed,
+			price: price,
+			inst:  inst,
 		})
 		c.walks[i] = spot.NewPriceWalk(seed)
 	}
@@ -426,7 +355,7 @@ func (c *ClusterSim) Run(ctx context.Context, workloads []systems.Workload, owne
 		best := -1
 		var bt sim.Time
 		for i, inst := range c.instances {
-			if t, ok := inst.backend.Engine().PeekNextTime(); ok && (best < 0 || t < bt) {
+			if t, ok := inst.inst.Engine().PeekNextTime(); ok && (best < 0 || t < bt) {
 				best, bt = i, t
 			}
 		}
@@ -439,7 +368,7 @@ func (c *ClusterSim) Run(ctx context.Context, workloads []systems.Workload, owne
 			target := c.route(req, states)
 			inst := c.instances[target]
 			inst.dispatched++
-			if err := inst.backend.Attach(req.Workload); err != nil {
+			if err := inst.inst.Attach(req.Workload); err != nil {
 				return nil, fmt.Errorf("clustersim: dispatch %s to %s: %w", req.Workload.Name, inst.name, err)
 			}
 			inst.attached++
@@ -458,7 +387,7 @@ func (c *ClusterSim) Run(ctx context.Context, workloads []systems.Workload, owne
 			}
 		}
 		flushWindows(bt)
-		c.instances[best].backend.Engine().Step()
+		c.instances[best].inst.Engine().Step()
 	}
 	flushWindows(horizon)
 	if windowStart < horizon {
@@ -477,8 +406,8 @@ func (c *ClusterSim) Run(ctx context.Context, workloads []systems.Workload, owne
 	for _, inst := range c.instances {
 		// Settle the instance clock at the horizon (no events at or
 		// before it remain) exactly as a blocking run would.
-		inst.backend.Engine().Run(horizon)
-		res, err := inst.backend.Finalize(horizon)
+		inst.inst.Engine().Run(horizon)
+		res, err := inst.inst.Finalize(horizon)
 		if err != nil {
 			return nil, fmt.Errorf("clustersim: finalize instance %s: %w", inst.name, err)
 		}
@@ -502,18 +431,18 @@ func (c *ClusterSim) route(req Request, states []InstanceState) InstanceID {
 			c.walks[i].Tick()
 			c.walkHour[i]++
 		}
-		inUse, capacity := inst.backend.PoolLoad()
+		inUse, capacity := inst.inst.PoolLoad()
 		states[i] = InstanceState{
 			ID:               inst.id,
 			Name:             inst.name,
-			Now:              inst.backend.Engine().Now(),
+			Now:              inst.inst.Engine().Now(),
 			NodesInUse:       inUse,
 			Capacity:         capacity,
 			PricePerNodeHour: inst.price,
 			SpotPrice:        c.walks[i].Price(),
 			Attached:         inst.attached,
 			Dispatched:       inst.dispatched,
-			PendingEvents:    inst.backend.Engine().Len(),
+			PendingEvents:    inst.inst.Engine().Len(),
 		}
 	}
 	target := c.policy.Route(req, states)
@@ -539,7 +468,7 @@ func (c *ClusterSim) emitWindow(index int, start, end sim.Time) {
 	}
 	for i, inst := range c.instances {
 		ev.Dispatched[i] = inst.dispatched
-		inUse, _ := inst.backend.PoolLoad()
+		inUse, _ := inst.inst.PoolLoad()
 		ev.NodesInUse[i] = inUse
 	}
 	c.cfg.Events.Emit(ev)

@@ -3,7 +3,7 @@
 // by the resource provider plus one thin runtime environment per service
 // provider, consolidated on a single cloud platform.
 //
-// The runner reproduces the emulated DawningCloud of the paper's Figure 6:
+// Its instance reproduces the emulated DawningCloud of the paper's Figure 6:
 // the resource provision service, one HTC server and scheduler per HTC
 // provider, one MTC server, scheduler and trigger monitor per MTC provider,
 // and a job emulator feeding traces and workflow files on the virtual
@@ -13,22 +13,15 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/nodepool"
 	"repro/internal/csf"
 	"repro/internal/job"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/systems"
 	"repro/internal/tre"
 )
-
-// defaultPoolCapacity models the paper's "large cloud platform" when the
-// caller does not constrain the pool.
-const defaultPoolCapacity = 1 << 20
 
 // Config extends the shared run options with DawningCloud-specific knobs.
 type Config struct {
@@ -41,290 +34,102 @@ type Config struct {
 	StartDelay  sim.Time
 }
 
-// Run simulates DawningCloud over the given workloads and returns the
-// shared Result type for comparison with the baseline systems. The context
-// cancels the simulation mid-run; an aborted run returns ctx.Err().
+// System returns DawningCloud's descriptor under cfg's DawningCloud-only
+// knobs (cfg.Options is ignored; each run supplies its own). The
+// registry holds System(Config{}); registry.Describe(System(cfg)) runs
+// an ablation with validation.
 //
-// Run is safe to call from concurrent goroutines: every piece of mutable
-// state (engine, pool, accountant, provision service, servers) is
-// constructed per call, and workloads are only read — jobs are immutable
-// by contract (see job.Job). Callers that retune or resort workloads
-// between concurrent runs must pass clones (systems.CloneWorkloads).
-func Run(ctx context.Context, workloads []systems.Workload, cfg Config) (systems.Result, error) {
-	if err := systems.ValidateWorkloads(workloads); err != nil {
-		return systems.Result{}, err
+// Runs are safe to execute concurrently: every piece of mutable state
+// (engine, pool, accountant, provision service, servers) is constructed
+// per run, and workloads are only read — jobs are immutable by contract
+// (see job.Job). Callers that retune or resort workloads between
+// concurrent runs must pass clones (systems.CloneWorkloads).
+//
+// On the default (unbounded) pool every dynamic grant succeeds
+// regardless of what other providers hold, so per-partition pools of
+// the same capacity reproduce the serial run exactly.
+func System(cfg Config) *systems.Descriptor {
+	return &systems.Descriptor{
+		Name: "DawningCloud",
+		Open: func(capacity int, opts systems.Options) (systems.Instance, error) {
+			c := cfg
+			c.Options = opts
+			return open(capacity, c)
+		},
 	}
-	// Partitioned path: with the default pool the cloud is never
-	// capacity-bound (defaultPoolCapacity's contract), so every dynamic
-	// grant succeeds regardless of what other providers hold —
-	// per-partition pools of the same capacity reproduce the serial run
-	// exactly. A caller-bounded pool couples providers through Free()
-	// and must stay serial.
-	if p := cfg.PartitionCount(len(workloads)); p > 1 && cfg.PoolCapacity == 0 {
-		return systems.RunPartitioned(ctx, workloads, cfg.Options, systems.PartitionSpec{
-			System: "DawningCloud",
-			Open: func(chunk []systems.Workload, first int, o systems.Options) (systems.PartitionInstance, error) {
-				c := cfg
-				c.Options = o
-				return Open(defaultPoolCapacity, c)
-			},
-		})
-	}
-	horizon := cfg.HorizonFor(workloads)
-	capacity := cfg.PoolCapacity
-	if capacity == 0 {
-		capacity = defaultPoolCapacity
-	}
-	inst, err := Open(capacity, cfg)
-	if err != nil {
-		return systems.Result{}, err
-	}
-	for i := range workloads {
-		if err := inst.Attach(&workloads[i]); err != nil {
-			return systems.Result{}, err
-		}
-	}
-	if err := inst.Engine().RunContext(ctx, horizon); err != nil {
-		return systems.Result{}, fmt.Errorf("core: DawningCloud run aborted: %w", err)
-	}
-	return inst.Finalize(horizon)
 }
 
-// Instance is an open DawningCloud simulation that accepts provider
-// workloads incrementally: Open, Attach each provider while the virtual
-// clock has not passed its first submission, drive the engine
-// (RunContext, or the sim step primitives under a federated orchestrator
-// such as internal/clustersim), then Finalize to settle accounting and
-// assemble the Result.
+// Instance is an open DawningCloud simulation: a CSF-managed platform
+// with one thin runtime environment per attached provider.
 type Instance struct {
+	systems.Platform
 	cfg       Config
-	engine    *sim.Engine
-	pool      *nodepool.Pool
-	acct      *metrics.Accountant
-	setup     float64
-	prov      *csf.ProvisionService
 	framework *csf.Framework
-	slots     []coreSlot
-	seen      map[string]bool
 }
 
-type coreSlot struct {
-	wl     *systems.Workload
-	server interface {
-		Submitted() int
-		CompletedBy(sim.Time) int
-		TasksPerSecond() float64
-	}
-}
-
-// Open opens an empty DawningCloud instance over a pool of capacity
-// nodes. Attached workloads must already be valid (the blocking Run
-// validates whole sets up front); capacity must be positive.
-func Open(capacity int, cfg Config) (*Instance, error) {
-	engine := sim.New()
-	pool, err := nodepool.NewPool(capacity)
+// open opens an empty DawningCloud instance over a pool of capacity
+// nodes.
+func open(capacity int, cfg Config) (*Instance, error) {
+	p, err := systems.NewPlatform("DawningCloud", false, capacity, cfg.Options)
 	if err != nil {
 		return nil, err
 	}
-	acct := metrics.NewAccountant(engine.Now)
-	setup := cfg.SetupCost
-	if setup == 0 {
-		setup = csf.DefaultNodeSetupSeconds
-	}
-	prov := csf.NewProvisionService(pool, acct, cfg.Provision, setup)
-	framework := csf.NewFramework(engine, prov)
+	framework := csf.NewFramework(p.Sim, p.Prov)
 	framework.DeployDelay = cfg.DeployDelay
 	framework.StartDelay = cfg.StartDelay
-	return &Instance{
-		cfg:       cfg,
-		engine:    engine,
-		pool:      pool,
-		acct:      acct,
-		setup:     setup,
-		prov:      prov,
-		framework: framework,
-		seen:      make(map[string]bool),
-	}, nil
+	return &Instance{Platform: p, cfg: cfg, framework: framework}, nil
 }
 
-// Engine exposes the instance's simulation engine so an orchestrator can
-// drive it through the step primitives.
-func (x *Instance) Engine() *sim.Engine { return x.engine }
+// Attach implements systems.Instance: the provider's thin runtime
+// environment is created through the CSF lifecycle at its first
+// submission and its job arrivals are scheduled on the instance clock.
+func (x *Instance) Attach(wl *systems.Workload) error { return x.attach(wl, nil, nil) }
 
-// PoolLoad snapshots the instance's node pool occupancy.
-func (x *Instance) PoolLoad() (inUse, capacity int) {
-	return x.pool.InUse(), x.pool.Capacity()
+// AttachStream implements systems.Instance.
+func (x *Instance) AttachStream(wl *systems.Workload, src stream.Source, f *stream.Feeder) error {
+	return x.attach(wl, src, f)
 }
 
-// Accounting exposes the instance's accountant for partitioned-run
-// merging (see systems.PartitionInstance).
-func (x *Instance) Accounting() *metrics.Accountant { return x.acct }
-
-// Attach admits one provider workload: its thin runtime environment is
-// created through the CSF lifecycle and its job arrivals are scheduled
-// on the instance clock.
-func (x *Instance) Attach(wl *systems.Workload) error {
-	if x.seen[wl.Name] {
-		return fmt.Errorf("systems: duplicate workload name %q", wl.Name)
+// attach creates wl's thin runtime environment and feeds it, from the
+// materialized job slice when f is nil (HTC jobs arrive individually;
+// MTC workflows are submitted whole at their first task's submission).
+func (x *Instance) attach(wl *systems.Workload, src stream.Source, f *stream.Feeder) error {
+	if err := x.Admit(wl, src); err != nil {
+		return err
 	}
-	switch wl.Class {
-	case job.HTC:
-		srv, err := tre.NewHTCServer(x.engine, x.prov, tre.Config{
-			Name:         wl.Name,
-			Params:       wl.Params,
-			EasyBackfill: x.cfg.EasyBackfill,
-		})
+	cfg := tre.Config{Name: wl.Name, Params: wl.Params}
+	if wl.Class == job.HTC {
+		cfg.EasyBackfill = x.cfg.EasyBackfill
+		srv, err := tre.NewHTCServer(x.Sim, x.Prov, cfg)
 		if err != nil {
 			return err
 		}
-		if err := createAndFeedHTC(x.engine, x.framework, srv, wl); err != nil {
-			return err
-		}
-		x.slots = append(x.slots, coreSlot{wl: wl, server: srv})
-	case job.MTC:
-		srv, err := tre.NewMTCServer(x.engine, x.prov, tre.Config{
-			Name:                wl.Name,
-			Params:              wl.Params,
-			DestroyOnCompletion: true,
-		})
-		if err != nil {
-			return err
-		}
-		if err := createAndFeedMTC(x.engine, x.framework, srv, wl); err != nil {
-			return err
-		}
-		x.slots = append(x.slots, coreSlot{wl: wl, server: srv})
-	default:
-		return fmt.Errorf("core: workload %s: unknown class %v", wl.Name, wl.Class)
+		x.Collect(systems.ServerAgg(wl, srv))
+		return systems.FeedJobs(x.Sim, f, wl, src, x.createTRE(wl.Name, "HTC", srv.Start), srv.Submit)
 	}
-	x.seen[wl.Name] = true
-	return nil
+	cfg.DestroyOnCompletion = true
+	srv, err := tre.NewMTCServer(x.Sim, x.Prov, cfg)
+	if err != nil {
+		return err
+	}
+	x.Collect(systems.ServerAgg(wl, srv))
+	return systems.FeedActions(x.Sim, f, wl, systems.MTCWorkflowActions(srv.SubmitWorkflow, wl.Name, wl.Jobs, "core"),
+		x.createTRE(wl.Name, "MTC", srv.Start))
 }
 
-// Finalize settles open leases at horizon and assembles the Result over
-// every attached workload, in attach order.
-func (x *Instance) Finalize(horizon sim.Time) (systems.Result, error) {
-	x.acct.CloseAll(horizon, true)
-	aggs := make([]systems.ProviderAgg, 0, len(x.slots))
-	for _, s := range x.slots {
-		a := systems.ProviderAgg{
-			Name:      s.wl.Name,
-			Class:     s.wl.Class,
-			Owners:    []string{s.wl.Name},
-			Submitted: s.server.Submitted(),
-			Completed: s.server.CompletedBy(horizon),
-			Adjusted:  -1,
-		}
-		if s.wl.Class == job.MTC {
-			a.TPS = s.server.TasksPerSecond()
-		}
-		aggs = append(aggs, a)
-	}
-	return systems.BuildResult("DawningCloud", horizon, x.acct, x.setup, x.prov.RejectedRequests(), aggs), nil
-}
-
-// Window snapshots every attached provider at virtual time t, for
-// per-window streamed reports; see systems.FixedInstance.Window.
-func (x *Instance) Window(t sim.Time) []systems.ProviderWindow {
-	aggs := make([]systems.ProviderAgg, 0, len(x.slots))
-	for _, s := range x.slots {
-		aggs = append(aggs, systems.ProviderAgg{
-			Name:      s.wl.Name,
-			Class:     s.wl.Class,
-			Owners:    []string{s.wl.Name},
-			Completed: s.server.CompletedBy(t),
-			Adjusted:  -1,
-		})
-	}
-	return systems.BuildWindow(x.acct, t, aggs)
-}
-
-// createTREAt issues the CSF create-and-start lifecycle for wl's thin
-// runtime environment at time t.
-func createTREAt(engine *sim.Engine, fw *csf.Framework, name, kind string, t sim.Time, start func() error) {
-	engine.At(t, func() {
-		_, err := fw.CreateTRE(name, kind, func() {
-			if err := start(); err != nil {
-				panic(fmt.Sprintf("core: start TRE %s: %v", name, err))
+// createTRE issues the CSF create-and-start lifecycle for a thin runtime
+// environment at the provider's first submission.
+func (x *Instance) createTRE(name, kind string, start func() error) func(first sim.Time) {
+	return func(first sim.Time) {
+		x.Sim.At(first, func() {
+			_, err := x.framework.CreateTRE(name, kind, func() {
+				if err := start(); err != nil {
+					panic(fmt.Sprintf("core: start TRE %s: %v", name, err))
+				}
+			})
+			if err != nil {
+				panic(fmt.Sprintf("core: create TRE %s: %v", name, err))
 			}
 		})
-		if err != nil {
-			panic(fmt.Sprintf("core: create TRE %s: %v", name, err))
-		}
-	})
-}
-
-// createAndFeedHTC walks the TRE through the CSF lifecycle at the
-// workload's first submission and schedules job arrivals.
-func createAndFeedHTC(engine *sim.Engine, fw *csf.Framework, srv *tre.Server, wl *systems.Workload) error {
-	createTREAt(engine, fw, wl.Name, "HTC", wl.FirstSubmit(), srv.Start)
-	engine.ScheduleBatch(len(wl.Jobs), func(i int) (sim.Time, func()) {
-		j := &wl.Jobs[i]
-		return j.Submit, func() { srv.Submit(j) }
-	})
-	return nil
-}
-
-// createAndFeedMTC does the same for an MTC provider, submitting whole
-// workflows at their first task's submission time.
-func createAndFeedMTC(engine *sim.Engine, fw *csf.Framework, srv *tre.MTCServer, wl *systems.Workload) error {
-	createTREAt(engine, fw, wl.Name, "MTC", wl.FirstSubmit(), srv.Start)
-	for _, a := range systems.MTCWorkflowActions(srv.SubmitWorkflow, wl.Name, wl.Jobs, "core") {
-		engine.At(a.At, a.Run)
 	}
-	return nil
-}
-
-// AttachStream admits one provider workload fed through f instead of a
-// materialized schedule; see systems.FixedInstance.AttachStream for the
-// streaming contract (HTC jobs from src, MTC workloads as materialized
-// workflow actions, one shared feeder per instance).
-func (x *Instance) AttachStream(wl *systems.Workload, src stream.Source, f *stream.Feeder) error {
-	if x.seen[wl.Name] {
-		return fmt.Errorf("systems: duplicate workload name %q", wl.Name)
-	}
-	switch wl.Class {
-	case job.HTC:
-		srv, err := tre.NewHTCServer(x.engine, x.prov, tre.Config{
-			Name:         wl.Name,
-			Params:       wl.Params,
-			EasyBackfill: x.cfg.EasyBackfill,
-		})
-		if err != nil {
-			return err
-		}
-		if src == nil {
-			src = stream.FromJobs(wl.Jobs)
-		}
-		err = f.AddJobs(wl.Name, src,
-			func(first sim.Time) { createTREAt(x.engine, x.framework, wl.Name, "HTC", first, srv.Start) },
-			func(j *job.Job) { srv.Submit(j) })
-		if err != nil {
-			return err
-		}
-		x.slots = append(x.slots, coreSlot{wl: wl, server: srv})
-	case job.MTC:
-		if src != nil {
-			return fmt.Errorf("core: workload %s: MTC workloads stream as materialized workflows (source must be nil)", wl.Name)
-		}
-		srv, err := tre.NewMTCServer(x.engine, x.prov, tre.Config{
-			Name:                wl.Name,
-			Params:              wl.Params,
-			DestroyOnCompletion: true,
-		})
-		if err != nil {
-			return err
-		}
-		actions := systems.MTCWorkflowActions(srv.SubmitWorkflow, wl.Name, wl.Jobs, "core")
-		err = f.AddActions(wl.Name, actions,
-			func(first sim.Time) { createTREAt(x.engine, x.framework, wl.Name, "MTC", first, srv.Start) })
-		if err != nil {
-			return err
-		}
-		x.slots = append(x.slots, coreSlot{wl: wl, server: srv})
-	default:
-		return fmt.Errorf("core: workload %s: unknown class %v", wl.Name, wl.Class)
-	}
-	x.seen[wl.Name] = true
-	return nil
 }

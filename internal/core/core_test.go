@@ -38,7 +38,7 @@ func mtcWorkload() systems.Workload {
 }
 
 func TestRunCompletesBothClasses(t *testing.T) {
-	res, err := Run(context.Background(), []systems.Workload{htcWorkload(), mtcWorkload()},
+	res, err := run(context.Background(), []systems.Workload{htcWorkload(), mtcWorkload()},
 		Config{Options: systems.Options{Horizon: 6 * 3600}})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -62,7 +62,7 @@ func TestRunCompletesBothClasses(t *testing.T) {
 // The MTC TRE starts with B=1 and expands via the policy; after the chain
 // finishes it destroys itself, so its lease is bounded by a billed hour.
 func TestMTCTREElasticityAndSelfDestroy(t *testing.T) {
-	res, err := Run(context.Background(), []systems.Workload{mtcWorkload()},
+	res, err := run(context.Background(), []systems.Workload{mtcWorkload()},
 		Config{Options: systems.Options{Horizon: 24 * 3600}})
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestMTCTREElasticityAndSelfDestroy(t *testing.T) {
 
 func TestDeployDelaysShiftStartup(t *testing.T) {
 	wl := htcWorkload()
-	res, err := Run(context.Background(), []systems.Workload{wl}, Config{
+	res, err := run(context.Background(), []systems.Workload{wl}, Config{
 		Options:     systems.Options{Horizon: 6 * 3600},
 		DeployDelay: 300,
 		StartDelay:  60,
@@ -99,7 +99,7 @@ func TestCapacityConstrainedCloudRejectsGrowth(t *testing.T) {
 	wl := htcWorkload()
 	// Pool of 6: B=2 fits, but the 8-node job can never run and DR
 	// requests beyond 6 are rejected.
-	res, err := Run(context.Background(), []systems.Workload{wl},
+	res, err := run(context.Background(), []systems.Workload{wl},
 		Config{Options: systems.Options{Horizon: 6 * 3600, PoolCapacity: 6}})
 	if err != nil {
 		t.Fatal(err)
@@ -113,19 +113,8 @@ func TestCapacityConstrainedCloudRejectsGrowth(t *testing.T) {
 	}
 }
 
-func TestRunValidatesWorkloads(t *testing.T) {
-	bad := htcWorkload()
-	bad.Name = ""
-	if _, err := Run(context.Background(), []systems.Workload{bad}, Config{}); err == nil {
-		t.Error("invalid workload accepted")
-	}
-	if _, err := Run(context.Background(), nil, Config{}); err == nil {
-		t.Error("empty workloads accepted")
-	}
-}
-
 func TestEasyBackfillConfig(t *testing.T) {
-	res, err := Run(context.Background(), []systems.Workload{htcWorkload()}, Config{
+	res, err := run(context.Background(), []systems.Workload{htcWorkload()}, Config{
 		Options:      systems.Options{Horizon: 6 * 3600},
 		EasyBackfill: true,
 	})
@@ -142,19 +131,25 @@ func TestEasyBackfillConfig(t *testing.T) {
 // isolated runs on an unconstrained pool (no interference).
 func TestConsolidationAdditivity(t *testing.T) {
 	opts := systems.Options{Horizon: 6 * 3600}
-	both, err := Run(context.Background(), []systems.Workload{htcWorkload(), mtcWorkload()}, Config{Options: opts})
+	both, err := run(context.Background(), []systems.Workload{htcWorkload(), mtcWorkload()}, Config{Options: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := Run(context.Background(), []systems.Workload{htcWorkload()}, Config{Options: opts})
+	h, err := run(context.Background(), []systems.Workload{htcWorkload()}, Config{Options: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Run(context.Background(), []systems.Workload{mtcWorkload()}, Config{Options: opts})
+	m, err := run(context.Background(), []systems.Workload{mtcWorkload()}, Config{Options: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := both.TotalNodeHours, h.TotalNodeHours+m.TotalNodeHours; got != want {
 		t.Errorf("consolidated total = %.1f, want %.1f (sum of isolated runs)", got, want)
 	}
+}
+
+// run executes DawningCloud materialized under cfg's knobs, as the
+// validating registry adapter does once the workloads pass.
+func run(ctx context.Context, workloads []systems.Workload, cfg Config) (systems.Result, error) {
+	return System(cfg).Execute(ctx, workloads, cfg.Options, nil)
 }

@@ -48,7 +48,7 @@ func TestCrossValidationEmulationVsSimulation(t *testing.T) {
 		FixedNodes: job.MaxNodes(jobs),
 		Params:     params,
 	}
-	des, err := Run(context.Background(), []systems.Workload{wl}, Config{Options: systems.Options{Horizon: horizon}})
+	des, err := run(context.Background(), []systems.Workload{wl}, Config{Options: systems.Options{Horizon: horizon}})
 	if err != nil {
 		t.Fatalf("simulation: %v", err)
 	}

@@ -48,19 +48,19 @@ func TestPropertyCrossSystemInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		wl := randomHTCWorkload(seed)
 		opts := systems.Options{Horizon: horizon}
-		dcs, err := systems.RunDCS(context.Background(), []systems.Workload{wl}, opts)
+		dcs, err := systems.DCS.Execute(context.Background(), []systems.Workload{wl}, opts, nil)
 		if err != nil {
 			return false
 		}
-		ssp, err := systems.RunSSP(context.Background(), []systems.Workload{wl}, opts)
+		ssp, err := systems.SSP.Execute(context.Background(), []systems.Workload{wl}, opts, nil)
 		if err != nil {
 			return false
 		}
-		drp, err := systems.RunDRP(context.Background(), []systems.Workload{wl}, opts)
+		drp, err := systems.DRP.Execute(context.Background(), []systems.Workload{wl}, opts, nil)
 		if err != nil {
 			return false
 		}
-		dc, err := Run(context.Background(), []systems.Workload{wl}, Config{Options: opts})
+		dc, err := run(context.Background(), []systems.Workload{wl}, Config{Options: opts})
 		if err != nil {
 			return false
 		}
@@ -112,7 +112,7 @@ func TestPropertyDawningCloudNeverBelowInitialLease(t *testing.T) {
 	horizon := int64(24 * 3600)
 	f := func(seed int64) bool {
 		wl := randomHTCWorkload(seed)
-		dc, err := Run(context.Background(), []systems.Workload{wl}, Config{Options: systems.Options{Horizon: horizon}})
+		dc, err := run(context.Background(), []systems.Workload{wl}, Config{Options: systems.Options{Horizon: horizon}})
 		if err != nil {
 			return false
 		}
@@ -136,11 +136,11 @@ func TestPropertyDeterministicRuns(t *testing.T) {
 	f := func(seed int64) bool {
 		wl := randomHTCWorkload(seed)
 		opts := systems.Options{Horizon: 24 * 3600}
-		a, err := systems.RunDRP(context.Background(), []systems.Workload{wl}, opts)
+		a, err := systems.DRP.Execute(context.Background(), []systems.Workload{wl}, opts, nil)
 		if err != nil {
 			return false
 		}
-		b, err := systems.RunDRP(context.Background(), []systems.Workload{wl}, opts)
+		b, err := systems.DRP.Execute(context.Background(), []systems.Workload{wl}, opts, nil)
 		if err != nil {
 			return false
 		}

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/job"
 	"repro/internal/par"
@@ -227,8 +228,14 @@ func (s *Suite) RunContext(ctx context.Context, system string) (systems.Result, 
 	return v.(systems.Result), nil
 }
 
+// runDawningCloud runs DawningCloud under cfg's ablation knobs through
+// the validating registry adapter.
+func runDawningCloud(ctx context.Context, workloads []systems.Workload, cfg core.Config) (systems.Result, error) {
+	return registry.Describe(core.System(cfg)).Run(ctx, workloads, cfg.Options)
+}
+
 // runSystem executes one full simulation on a cloned workload set. The
-// baseline runners and core.Run only read their workloads, but cloning
+// registered runners only read their workloads, but cloning
 // makes the isolation unconditional: no concurrent run can observe
 // another's job slices no matter how a future runner evolves.
 func (s *Suite) runSystem(ctx context.Context, system string) (systems.Result, error) {

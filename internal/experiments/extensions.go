@@ -9,6 +9,7 @@ import (
 	"repro/internal/par"
 	"repro/internal/plot"
 	"repro/internal/policy"
+	"repro/internal/registry"
 	"repro/internal/synth"
 	"repro/internal/systems"
 )
@@ -58,11 +59,11 @@ func (s *Suite) ScaleStudy(ctx context.Context, n int) ([]ScalePoint, error) {
 		var dcs, dsp systems.Result
 		runs := []func() error{
 			func() (err error) {
-				dcs, err = systems.RunDCS(ctx, systems.CloneWorkloads(workloads), opts)
+				dcs, err = registry.Describe(systems.DCS).Run(ctx, systems.CloneWorkloads(workloads), opts)
 				return err
 			},
 			func() (err error) {
-				dsp, err = core.Run(ctx, systems.CloneWorkloads(workloads), core.Config{Options: opts})
+				dsp, err = runDawningCloud(ctx, systems.CloneWorkloads(workloads), core.Config{Options: opts})
 				return err
 			},
 		}
@@ -127,11 +128,11 @@ func (s *Suite) AblationBackfill(ctx context.Context, provider string) (Artifact
 	var ff, easy systems.Result
 	runs := []func() error{
 		func() (err error) {
-			ff, err = core.Run(ctx, []systems.Workload{wl.Clone()}, core.Config{Options: opts})
+			ff, err = runDawningCloud(ctx, []systems.Workload{wl.Clone()}, core.Config{Options: opts})
 			return err
 		},
 		func() (err error) {
-			easy, err = core.Run(ctx, []systems.Workload{wl.Clone()}, core.Config{Options: opts, EasyBackfill: true})
+			easy, err = runDawningCloud(ctx, []systems.Workload{wl.Clone()}, core.Config{Options: opts, EasyBackfill: true})
 			return err
 		},
 	}
@@ -175,11 +176,11 @@ func (s *Suite) AblationProvision(ctx context.Context, provider string, capacity
 	var strict, effort systems.Result
 	runs := []func() error{
 		func() (err error) {
-			strict, err = core.Run(ctx, []systems.Workload{wl.Clone()}, core.Config{Options: strictOpts})
+			strict, err = runDawningCloud(ctx, []systems.Workload{wl.Clone()}, core.Config{Options: strictOpts})
 			return err
 		},
 		func() (err error) {
-			effort, err = core.Run(ctx, []systems.Workload{wl.Clone()}, core.Config{Options: effortOpts})
+			effort, err = runDawningCloud(ctx, []systems.Workload{wl.Clone()}, core.Config{Options: effortOpts})
 			return err
 		},
 	}

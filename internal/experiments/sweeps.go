@@ -69,7 +69,7 @@ func (s *Suite) SweepContext(ctx context.Context, provider string, bs []int, rs 
 			wl := base.Clone()
 			wl.Params.InitialNodes = b
 			wl.Params.ThresholdRatio = r
-			res, err = core.Run(ctx, []systems.Workload{wl}, core.Config{Options: opts})
+			res, err = runDawningCloud(ctx, []systems.Workload{wl}, core.Config{Options: opts})
 			return err
 		})
 		if err != nil {

@@ -7,8 +7,14 @@
 // DRP, DawningCloud) registered in presentation order. New usage models
 // register themselves with Register — no switch statement or map literal
 // anywhere needs editing — and are immediately runnable by name from
-// Engine.Run, `dcsim -system`, and scenario spec files. See
-// internal/spot for a complete example (the "ssp-spot" variant).
+// Engine.Run, `dcsim -system`, and scenario spec files.
+//
+// A system registers either a plain Runner (Func) — it then runs
+// materialized and serial, validating its own input — or a full
+// systems.Descriptor through Describe, which the one run lifecycle in
+// internal/systems also executes streamed, partitioned and federated.
+// See internal/spot for a complete descriptor example (the "ssp-spot"
+// variant).
 //
 // Names resolve case-insensitively ("dawningcloud" finds "DawningCloud")
 // but keep their registered canonical spelling in results and reports.
@@ -142,6 +148,45 @@ func (r *Registry) Names() []string {
 	return append([]string(nil), r.order...)
 }
 
+// Describe adapts a system descriptor to Runner: the adapter validates
+// the workloads — the one validation on the Engine.Run/Submit path — and
+// executes them materialized through the shared lifecycle
+// (systems.Descriptor.Execute). Registering the adapter registers the
+// descriptor; Registry.Descriptor recovers it.
+func Describe(d *systems.Descriptor) Runner { return described{d} }
+
+type described struct{ d *systems.Descriptor }
+
+// Run implements Runner.
+func (r described) Run(ctx context.Context, workloads []systems.Workload, opts systems.Options) (systems.Result, error) {
+	if err := systems.ValidateWorkloads(workloads); err != nil {
+		return systems.Result{}, err
+	}
+	return r.d.Execute(ctx, workloads, opts, nil)
+}
+
+// Descriptor returns the descriptor registered under name
+// (case-insensitive). Systems registered as a plain Runner have none:
+// they run materialized and serial only, never streamed, partitioned or
+// federated.
+func (r *Registry) Descriptor(name string) (*systems.Descriptor, bool) {
+	runner, _ := r.Lookup(name)
+	d, ok := runner.(described)
+	return d.d, ok
+}
+
+// Instanced lists, in registration order, the systems registered with a
+// descriptor — the ones that can run streamed, partitioned or federated.
+func (r *Registry) Instanced() []string {
+	var out []string
+	for _, name := range r.Names() {
+		if _, ok := r.Descriptor(name); ok {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
 // Has reports whether name resolves to a registered system.
 func (r *Registry) Has(name string) bool {
 	_, ok := r.Lookup(name)
@@ -169,11 +214,8 @@ func (r *Registry) Snapshot() *Registry {
 var Default = New()
 
 func init() {
-	Default.MustRegister("DCS", Func(systems.RunDCS))
-	Default.MustRegister("SSP", Func(systems.RunSSP))
-	Default.MustRegister("DRP", Func(systems.RunDRP))
-	Default.MustRegister("DawningCloud",
-		Func(func(ctx context.Context, wls []systems.Workload, opts systems.Options) (systems.Result, error) {
-			return core.Run(ctx, wls, core.Config{Options: opts})
-		}))
+	Default.MustRegister("DCS", Describe(systems.DCS))
+	Default.MustRegister("SSP", Describe(systems.SSP))
+	Default.MustRegister("DRP", Describe(systems.DRP))
+	Default.MustRegister("DawningCloud", Describe(core.System(core.Config{})))
 }

@@ -229,13 +229,11 @@ func (e *engine) run(ctx context.Context, c cell) (systems.Result, error) {
 	return v.(systems.Result), nil
 }
 
-// simulate builds the cell's isolated workload set and runs it through
-// the registered system runner, or through the streamed path when the
-// spec asks for it.
+// simulate builds the cell's isolated workload set and runs it. Systems
+// registered with a descriptor go straight to its lifecycle, streamed
+// when the spec asks for it — Compile already validated the workloads;
+// plain registry runners validate their own input.
 func (e *engine) simulate(ctx context.Context, c cell) (systems.Result, error) {
-	if e.c.Spec.Streamed() {
-		return e.simulateStreamed(ctx, c)
-	}
 	runner, canonical, err := registry.Default.Resolve(c.system)
 	if err != nil {
 		return systems.Result{}, fmt.Errorf("scenario %s: %w", e.c.Spec.Name, err)
@@ -244,9 +242,18 @@ func (e *engine) simulate(ctx context.Context, c cell) (systems.Result, error) {
 	if err != nil {
 		return systems.Result{}, err
 	}
+	feed, err := e.feed(c)
+	if err != nil {
+		return systems.Result{}, err
+	}
 	e.simulations.Add(1)
 	e.sink.Emit(events.RunStarted{System: canonical, Providers: len(wls), Cell: c.key()})
-	res, err := runner.Run(ctx, wls, e.c.Options)
+	var res systems.Result
+	if d, ok := registry.Default.Descriptor(canonical); ok {
+		res, err = d.Execute(ctx, wls, e.c.Options, feed)
+	} else {
+		res, err = runner.Run(ctx, wls, e.c.Options)
+	}
 	e.sink.Emit(events.RunCompleted{System: canonical, Cell: c.key(), Err: err, TotalNodeHours: res.TotalNodeHours})
 	if err != nil {
 		return systems.Result{}, fmt.Errorf("scenario %s: run %s: %w", e.c.Spec.Name, c.key(), err)

@@ -28,7 +28,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/registry"
 	"repro/internal/sim"
-	"repro/internal/streamrun"
 
 	// Shipped registry extensions must be linked in so scenario specs can
 	// name them (ssp-spot) through any entry point, not only the CLIs.
@@ -92,7 +91,7 @@ type Spec struct {
 	// and reported per instance and merged.
 	Federation *FederationSpec `json:"federation,omitempty"`
 	// Stream optionally routes every cell through the streamed
-	// execution path (internal/streamrun): workloads feed the kernel in
+	// execution path (systems.Feed): workloads feed the kernel in
 	// bounded batches, base cells emit incremental per-window reports,
 	// and providers may declare kind-"live" sources fed over the run
 	// service's task-ingestion endpoint. Results are byte-identical to
@@ -126,8 +125,8 @@ type StreamSpec struct {
 // provider membership.
 type FederationSpec struct {
 	// System is the system every instance runs (federations are
-	// homogeneous); default DawningCloud. It must have federated
-	// instance support (clustersim.FederatedSystems).
+	// homogeneous); default DawningCloud. It must be registered with a
+	// descriptor (registry.Instanced).
 	System string `json:"system,omitempty"`
 	// Policy is the routing policy name from clustersim's registry
 	// (round-robin, least-loaded, cost-aware, spot-price-aware,
@@ -448,9 +447,9 @@ func (s *Spec) validateStream(fail func(string, string, ...any) error) error {
 	}
 	if st.Enabled {
 		for i, name := range s.Systems {
-			if !streamrun.Supported(name) {
+			if _, ok := registry.Default.Descriptor(name); !ok {
 				return fail(fmt.Sprintf("systems[%d]", i), "system %q has no streamed attach surface (supported: %s)",
-					name, strings.Join(streamrun.Systems(), ", "))
+					name, strings.Join(registry.Default.Instanced(), ", "))
 			}
 		}
 	}
@@ -463,9 +462,9 @@ func (s *Spec) validateFederation(fail func(string, string, ...any) error) error
 		return fail("federation.system", "unknown system %q (registered: %s)",
 			f.System, strings.Join(registry.Default.Names(), ", "))
 	}
-	if !clustersim.CanFederate(f.System) {
+	if _, ok := registry.Default.Descriptor(f.System); !ok {
 		return fail("federation.system", "system %q has no federated instance support (supported: %s)",
-			f.System, strings.Join(clustersim.FederatedSystems(), ", "))
+			f.System, strings.Join(registry.Default.Instanced(), ", "))
 	}
 	if !clustersim.HasPolicy(f.Policy) {
 		return fail("federation.policy", "unknown routing policy %q (registered: %s)",

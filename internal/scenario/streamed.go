@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -9,60 +8,48 @@ import (
 	"repro/internal/events"
 	"repro/internal/sim"
 	"repro/internal/stream"
-	"repro/internal/streamrun"
 	"repro/internal/systems"
 )
 
-// simulateStreamed runs one cell through the streamed path
-// (internal/streamrun) instead of the registry runner: the workloads
-// feed the kernel through a bounded-lookahead feeder, live providers
-// draw from their attached sources, and base cells carry the read-only
-// per-window reporters. Results are byte-identical to the materialized
-// path for the same jobs, so the cache key and the report shape do not
-// change.
-func (e *engine) simulateStreamed(ctx context.Context, c cell) (systems.Result, error) {
-	wls, err := e.cellWorkloads(c)
-	if err != nil {
-		return systems.Result{}, err
+// feed builds the cell's streamed-run configuration, nil unless the spec
+// is streamed: the workloads feed the kernel through bounded-lookahead
+// feeders, live providers draw from their attached sources, and base
+// cells carry the read-only per-window reporter. Results are
+// byte-identical to the materialized path for the same jobs, so the
+// cache key and the report shape do not change.
+func (e *engine) feed(c cell) (*systems.Feed, error) {
+	if !e.c.Spec.Streamed() {
+		return nil, nil
 	}
 	st := e.c.Spec.Stream
-	spec := streamrun.Spec{
-		System:    c.system,
-		Workloads: wls,
-		Options:   e.c.Options,
-		Feeder: stream.Options{
+	feed := &systems.Feed{
+		Options: stream.Options{
 			Stride:       sim.Time(st.StrideSeconds),
 			MinLookahead: sim.Time(st.LookaheadSeconds),
 		},
+		Window: e.windows.window,
 	}
 	if len(e.c.Live) > 0 {
 		// Spec validation pins live scenarios to a single system with no
 		// sweeps, so exactly one cell — this one — consumes the feeds.
-		spec.Sources = make(map[string]stream.Source, len(e.c.Live))
+		feed.Sources = make(map[string]stream.Source, len(e.c.Live))
 		for _, name := range e.c.Live {
 			src, ok := e.c.Sources[name]
 			if !ok {
-				return systems.Result{}, fmt.Errorf("scenario %s: live provider %q has no attached source (fill Compiled.Sources before running)",
+				return nil, fmt.Errorf("scenario %s: live provider %q has no attached source (fill Compiled.Sources before running)",
 					e.c.Spec.Name, name)
 			}
-			spec.Sources[name] = src
+			feed.Sources[name] = src
 		}
 	}
-	if c.grid == nil && c.providers == len(e.c.Workloads) && e.windows != nil {
-		spec.Observe = e.windows.observer(c.system, c.key())
+	if c.grid == nil && c.providers == len(e.c.Workloads) {
+		feed.OnWindow = e.windows.reporter(c.system, c.key())
 	}
-	e.simulations.Add(1)
-	e.sink.Emit(events.RunStarted{System: c.system, Providers: len(wls), Cell: c.key()})
-	res, err := streamrun.Run(ctx, spec)
-	e.sink.Emit(events.RunCompleted{System: c.system, Cell: c.key(), Err: err, TotalNodeHours: res.TotalNodeHours})
-	if err != nil {
-		return systems.Result{}, fmt.Errorf("scenario %s: run %s: %w", e.c.Spec.Name, c.key(), err)
-	}
-	return res, nil
+	return feed, nil
 }
 
 // windowEmitter coordinates a streamed scenario's incremental results:
-// each base cell's observer emits one WindowReport per accounting
+// each base cell's reporter emits one WindowReport per accounting
 // window, and once every compared system has reported a window the
 // emitter closes it with the cross-system WindowSummary — the running
 // economies-of-scale line. Window contents are deterministic (they read
@@ -72,7 +59,6 @@ func (e *engine) simulateStreamed(ctx context.Context, c cell) (systems.Result, 
 type windowEmitter struct {
 	sink    events.Sink
 	window  sim.Time
-	horizon sim.Time
 	setup   float64
 	systems []string
 
@@ -93,49 +79,37 @@ func newWindowEmitter(spec *Spec, opts systems.Options, sink events.Sink) *windo
 	return &windowEmitter{
 		sink:    sink,
 		window:  window,
-		horizon: spec.Horizon(),
 		setup:   setup,
 		systems: append([]string(nil), spec.Systems...),
 		reports: make(map[int]map[string]events.WindowReport),
 	}
 }
 
-// observer schedules the per-window reporters on a streamed instance's
-// clock; streamrun calls it after every attach and before the feeder
-// starts. Reporter events are therefore scheduled before any simulation
-// event and run first at each boundary: the snapshot covers [start, end)
-// exactly, and since reporters only read, the simulation stays
-// byte-identical to the unobserved run.
-func (w *windowEmitter) observer(system, cellKey string) func(streamrun.Instance) {
-	return func(inst streamrun.Instance) {
-		for i, start := 0, sim.Time(0); start < w.horizon; i, start = i+1, start+w.window {
-			i, start := i, start
-			end := start + w.window
-			if end > w.horizon {
-				end = w.horizon
-			}
-			inst.Engine().At(end, func() {
-				rep := events.WindowReport{
-					System: system,
-					Cell:   cellKey,
-					Index:  i,
-					Start:  int64(start),
-					End:    int64(end),
-				}
-				adjusted := 0
-				for _, pw := range inst.Window(end) {
-					rep.Providers = append(rep.Providers, pw.Name)
-					rep.Completed = append(rep.Completed, pw.Completed)
-					rep.NodeHours = append(rep.NodeHours, pw.NodeHours)
-					rep.Adjusted = append(rep.Adjusted, pw.Adjusted)
-					rep.TotalNodeHours += pw.NodeHours
-					adjusted += pw.Adjusted
-				}
-				rep.OverheadSeconds = float64(adjusted) * w.setup
-				w.sink.Emit(rep)
-				w.add(rep)
-			})
+// reporter turns a streamed run's window snapshots into one system's
+// WindowReports. Snapshots are taken before any other event at each
+// boundary, so a report covers [start, end) exactly, and since they
+// only read, the simulation stays byte-identical to the unobserved run.
+func (w *windowEmitter) reporter(system, cellKey string) func(int, sim.Time, sim.Time, []systems.ProviderWindow) {
+	return func(i int, start, end sim.Time, rows []systems.ProviderWindow) {
+		rep := events.WindowReport{
+			System: system,
+			Cell:   cellKey,
+			Index:  i,
+			Start:  int64(start),
+			End:    int64(end),
 		}
+		adjusted := 0
+		for _, pw := range rows {
+			rep.Providers = append(rep.Providers, pw.Name)
+			rep.Completed = append(rep.Completed, pw.Completed)
+			rep.NodeHours = append(rep.NodeHours, pw.NodeHours)
+			rep.Adjusted = append(rep.Adjusted, pw.Adjusted)
+			rep.TotalNodeHours += pw.NodeHours
+			adjusted += pw.Adjusted
+		}
+		rep.OverheadSeconds = float64(adjusted) * w.setup
+		w.sink.Emit(rep)
+		w.add(rep)
 	}
 }
 

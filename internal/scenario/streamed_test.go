@@ -109,6 +109,43 @@ func TestStreamingBaselineMatchesPaperBaseline(t *testing.T) {
 	}
 }
 
+// TestStreamingBaselinePartitionedWindows pins streamed × partitioned
+// at the scenario layer: streaming-baseline split onto two kernel
+// partitions per cell emits exactly the window_report/window_summary
+// sequence and the base results of the serial run — window rows join
+// in serial provider order at the lockstep barrier.
+func TestStreamingBaselinePartitionedWindows(t *testing.T) {
+	run := func(partitions int) (*Report, *captureSink) {
+		spec, err := Builtin("streaming-baseline")
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Partitions = partitions
+		caught := &captureSink{}
+		// One worker runs the cells in order, so the event sequence is
+		// deterministic and comparable as a whole.
+		rep, err := RunContext(context.Background(), spec, 1, caught.sink())
+		if err != nil {
+			t.Fatalf("P=%d: %v", partitions, err)
+		}
+		return rep, caught
+	}
+	serialRep, serial := run(1)
+	rep, got := run(2)
+	if len(serial.reports) == 0 || len(serial.summaries) == 0 {
+		t.Fatal("serial run emitted no window events")
+	}
+	if !reflect.DeepEqual(got.reports, serial.reports) {
+		t.Errorf("P=2 window reports diverged from P=1")
+	}
+	if !reflect.DeepEqual(got.summaries, serial.summaries) {
+		t.Errorf("P=2 window summaries diverged from P=1")
+	}
+	if !reflect.DeepEqual(rep.Base, serialRep.Base) {
+		t.Errorf("P=2 base results diverged from P=1")
+	}
+}
+
 // TestLiveScenarioMatchesMaterialized feeds a live provider's tasks
 // through a LiveSource attached to a compiled scenario and checks the
 // run against the same jobs simulated materialized: online ingestion is
@@ -164,7 +201,7 @@ func TestLiveScenarioMatchesMaterialized(t *testing.T) {
 
 	wl := c.Workloads[0].Clone()
 	wl.Jobs = job.CloneAll(jobs)
-	want, err := systems.RunSSP(context.Background(), []systems.Workload{wl}, c.Options)
+	want, err := systems.SSP.Execute(context.Background(), []systems.Workload{wl}, c.Options, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package partition drives several sim.Engine instances in lockstep on
 // separate goroutines, one engine per partition, so a single logical run
 // can use every core. It is the generic kernel layer under
-// internal/systems' partitioned runners: it knows nothing about
+// the run driver in internal/systems: it knows nothing about
 // workloads, pools or accounting — only how to advance N independent
 // engines to shared window boundaries deterministically.
 //

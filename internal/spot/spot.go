@@ -17,15 +17,12 @@
 package spot
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
 
-	"repro/internal/nodepool"
 	"repro/internal/csf"
 	"repro/internal/job"
-	"repro/internal/metrics"
 	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/stream"
@@ -50,8 +47,20 @@ const (
 	maxPrice   = 1.00
 )
 
+// System is the ssp-spot descriptor. Each spot provider only ever
+// leases its own cluster (<= its FixedNodes), so with the derived
+// capacity (sum of FixedNodes) every acquire succeeds in serial and
+// partitioned runs alike; per-provider price walks are seeded by attach
+// position (see Instance), which the partition seed anchor preserves.
+var System = &systems.Descriptor{
+	Name:          Name,
+	Open:          func(capacity int, opts systems.Options) (systems.Instance, error) { return open(capacity, opts) },
+	FixedCapacity: true,
+	Seeded:        true,
+}
+
 func init() {
-	registry.Default.MustRegister(Name, registry.Func(Run))
+	registry.Default.MustRegister(Name, registry.Describe(System))
 }
 
 // PriceWalk is the spot market's hourly price process — the
@@ -90,223 +99,92 @@ func (w *PriceWalk) Tick() float64 {
 // spot-price-aware routing policy compares prices against.
 func Bid() float64 { return bidPrice }
 
-// Run simulates the spot-priced SSP system. opts.Seed drives the price
-// process, so runs are reproducible given identical inputs. The context
-// cancels the simulation mid-run; an aborted run returns ctx.Err().
-func Run(ctx context.Context, workloads []systems.Workload, opts systems.Options) (systems.Result, error) {
-	if err := systems.ValidateWorkloads(workloads); err != nil {
-		return systems.Result{}, err
-	}
-	// Partitioned path: each spot provider only ever leases its own
-	// cluster (<= its FixedNodes), so with the derived capacity (sum of
-	// FixedNodes) every acquire succeeds in serial and partitioned runs
-	// alike. The chunk's options seed is shifted so each workload's
-	// price walk keeps its serial seed (opts.Seed + i*7919 + 1 for the
-	// i-th workload of the whole run; see Instance).
-	if p := opts.PartitionCount(len(workloads)); p > 1 && opts.PoolCapacity == 0 {
-		return systems.RunPartitioned(ctx, workloads, opts, systems.PartitionSpec{
-			System: Name,
-			Open: func(chunk []systems.Workload, first int, o systems.Options) (systems.PartitionInstance, error) {
-				capacity := 0
-				for i := range chunk {
-					capacity += chunk[i].FixedNodes
-				}
-				o.Seed += int64(first) * 7919
-				return Open(capacity, o)
-			},
-		})
-	}
-	horizon := opts.HorizonFor(workloads)
-	capacity := opts.PoolCapacity
-	if capacity == 0 {
-		for i := range workloads {
-			capacity += workloads[i].FixedNodes
-		}
-	}
-	inst, err := Open(capacity, opts)
-	if err != nil {
-		return systems.Result{}, err
-	}
-	for i := range workloads {
-		if err := inst.Attach(&workloads[i]); err != nil {
-			return systems.Result{}, err
-		}
-	}
-	if err := inst.Engine().RunContext(ctx, horizon); err != nil {
-		return systems.Result{}, fmt.Errorf("spot: %s run aborted: %w", Name, err)
-	}
-	return inst.Finalize(horizon)
-}
-
-// Instance is an open ssp-spot simulation that accepts provider
-// workloads incrementally; see systems.FixedInstance for the
-// open/attach/finalize lifecycle it shares. The i-th attached workload's
+// Instance is an open ssp-spot simulation. The i-th attached workload's
 // price process is seeded opts.Seed + i*7919 + 1 — a pure function of
 // the instance's own seed and membership order, so a federated
 // instance's results do not depend on how many sibling instances exist
-// or how their events interleave.
+// or how their events interleave, and streamed and materialized runs
+// see identical markets.
 type Instance struct {
-	opts      systems.Options
-	engine    *sim.Engine
-	pool      *nodepool.Pool
-	acct      *metrics.Accountant
-	setup     float64
-	prov      *csf.ProvisionService
-	providers []*spotProvider
-	seen      map[string]bool
+	systems.Platform
+	seed     int64
+	attached int
 }
 
-// Open opens an empty ssp-spot instance over a pool of capacity nodes.
-// Attached workloads must already be valid; capacity must be positive.
-func Open(capacity int, opts systems.Options) (*Instance, error) {
-	engine := sim.New()
-	pool, err := nodepool.NewPool(capacity)
+// open opens an empty ssp-spot instance over a pool of capacity nodes.
+func open(capacity int, opts systems.Options) (*Instance, error) {
+	p, err := systems.NewPlatform(Name, false, capacity, opts)
 	if err != nil {
 		return nil, err
 	}
-	acct := metrics.NewAccountant(engine.Now)
-	setup := opts.SetupCost
-	if setup == 0 {
-		setup = csf.DefaultNodeSetupSeconds
-	}
-	return &Instance{
-		opts:   opts,
-		engine: engine,
-		pool:   pool,
-		acct:   acct,
-		setup:  setup,
-		prov:   csf.NewProvisionService(pool, acct, opts.Provision, setup),
-		seen:   make(map[string]bool),
-	}, nil
+	return &Instance{Platform: p, seed: opts.Seed}, nil
 }
 
-// Engine exposes the instance's simulation engine so an orchestrator can
-// drive it through the step primitives.
-func (x *Instance) Engine() *sim.Engine { return x.engine }
+// Attach implements systems.Instance: the provider's spot cluster,
+// market ticks and job arrivals are scheduled on the instance clock.
+func (x *Instance) Attach(wl *systems.Workload) error { return x.attach(wl, nil, nil) }
 
-// PoolLoad snapshots the instance's node pool occupancy.
-func (x *Instance) PoolLoad() (inUse, capacity int) {
-	return x.pool.InUse(), x.pool.Capacity()
-}
-
-// Accounting exposes the instance's accountant for partitioned-run
-// merging (see systems.PartitionInstance).
-func (x *Instance) Accounting() *metrics.Accountant { return x.acct }
-
-// Attach admits one provider workload: its spot cluster, market ticks
-// and job arrivals are scheduled on the instance clock.
-func (x *Instance) Attach(wl *systems.Workload) error {
-	if x.seen[wl.Name] {
-		return fmt.Errorf("systems: duplicate workload name %q", wl.Name)
-	}
-	p := &spotProvider{
-		engine:  x.engine,
-		prov:    x.prov,
-		wl:      wl,
-		size:    wl.FixedNodes,
-		walk:    NewPriceWalk(x.opts.Seed + int64(len(x.providers))*7919 + 1),
-		running: make(map[int]runningTask),
-	}
-	if err := p.schedule(); err != nil {
-		return fmt.Errorf("spot: workload %s: %w", wl.Name, err)
-	}
-	x.providers = append(x.providers, p)
-	x.seen[wl.Name] = true
-	return nil
-}
-
-// AttachStream admits one provider workload fed through f instead of a
-// materialized schedule; see systems.FixedInstance.AttachStream for the
-// streaming contract. The provider's price walk keeps its attach-order
-// seed, so streamed and materialized runs see identical markets.
+// AttachStream implements systems.Instance.
 func (x *Instance) AttachStream(wl *systems.Workload, src stream.Source, f *stream.Feeder) error {
-	if x.seen[wl.Name] {
-		return fmt.Errorf("systems: duplicate workload name %q", wl.Name)
+	return x.attach(wl, src, f)
+}
+
+// attach wires wl's spot provider, feeding it from the materialized job
+// slice when f is nil.
+func (x *Instance) attach(wl *systems.Workload, src stream.Source, f *stream.Feeder) error {
+	if err := x.Admit(wl, src); err != nil {
+		return err
 	}
 	p := &spotProvider{
-		engine:  x.engine,
-		prov:    x.prov,
+		engine:  x.Sim,
+		prov:    x.Prov,
 		wl:      wl,
 		size:    wl.FixedNodes,
-		walk:    NewPriceWalk(x.opts.Seed + int64(len(x.providers))*7919 + 1),
+		walk:    NewPriceWalk(x.seed + int64(x.attached)*7919 + 1),
 		running: make(map[int]runningTask),
 	}
+	x.attached++
+	x.Collect(p.agg)
 	acquire := func(first sim.Time) {
 		p.firstSubmit = first
-		x.engine.At(first, func() {
+		x.Sim.At(first, func() {
 			p.tryAcquire()
-			p.stopTick = x.engine.Every(sim.Hour, p.tick)
+			p.stopTick = x.Sim.Every(sim.Hour, p.tick)
 		})
 	}
-	switch wl.Class {
-	case job.HTC:
-		if src == nil {
-			src = stream.FromJobs(wl.Jobs)
-		}
-		err := f.AddJobs(wl.Name, src, acquire, func(j *job.Job) {
+	if wl.Class == job.MTC {
+		p.submitted = len(wl.Jobs)
+		p.unmet = make(map[int]int)
+		p.dependents = make(map[int][]*job.Job)
+		return systems.FeedActions(x.Sim, f, wl, p.workflowActions(), acquire)
+	}
+	submit := p.enqueue
+	if f == nil {
+		p.submitted = len(wl.Jobs)
+	} else {
+		submit = func(j *job.Job) {
 			p.submitted++
 			p.enqueue(j)
-		})
-		if err != nil {
-			return err
 		}
-	case job.MTC:
-		if src != nil {
-			return fmt.Errorf("spot: workload %s: MTC workloads stream as materialized workflows (source must be nil)", wl.Name)
-		}
-		p.submitted = len(wl.Jobs)
-		p.initMTC()
-		if err := f.AddActions(wl.Name, p.workflowActions(), acquire); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("spot: workload %s: unknown class %v", wl.Name, wl.Class)
 	}
-	x.providers = append(x.providers, p)
-	x.seen[wl.Name] = true
-	return nil
+	return systems.FeedJobs(x.Sim, f, wl, src, acquire, submit)
 }
 
-// Finalize settles open leases at horizon and assembles the Result over
-// every attached workload, in attach order.
-func (x *Instance) Finalize(horizon sim.Time) (systems.Result, error) {
-	x.acct.CloseAll(horizon, true)
-	aggs := make([]systems.ProviderAgg, 0, len(x.providers))
-	for _, p := range x.providers {
-		a := systems.ProviderAgg{
-			Name:      p.wl.Name,
-			Class:     p.wl.Class,
-			Owners:    []string{p.wl.Name},
-			Submitted: p.submitted,
-			Completed: p.completed,
-			Adjusted:  -1,
-		}
-		if p.wl.Class == job.MTC {
-			if span := p.lastDone - p.firstSubmit; span > 0 {
-				a.TPS = float64(p.completed) / float64(span)
-			}
-		}
-		aggs = append(aggs, a)
+// agg collects the provider's aggregate; its counters are live, so at a
+// window boundary "completed" means completed by then.
+func (p *spotProvider) agg(sim.Time) systems.ProviderAgg {
+	a := systems.ProviderAgg{
+		Name:      p.wl.Name,
+		Class:     p.wl.Class,
+		Owners:    []string{p.wl.Name},
+		Submitted: p.submitted,
+		Completed: p.completed,
+		Adjusted:  -1,
 	}
-	return systems.BuildResult(Name, horizon, x.acct, x.setup, x.prov.RejectedRequests(), aggs), nil
-}
-
-// Window snapshots every attached provider at virtual time t, for
-// per-window streamed reports; see systems.FixedInstance.Window. The
-// provider counters are live, so "completed" means completed by t when
-// the call comes from an event at t.
-func (x *Instance) Window(t sim.Time) []systems.ProviderWindow {
-	aggs := make([]systems.ProviderAgg, 0, len(x.providers))
-	for _, p := range x.providers {
-		aggs = append(aggs, systems.ProviderAgg{
-			Name:      p.wl.Name,
-			Class:     p.wl.Class,
-			Owners:    []string{p.wl.Name},
-			Completed: p.completed,
-			Adjusted:  -1,
-		})
+	if span := p.lastDone - p.firstSubmit; p.wl.Class == job.MTC && span > 0 {
+		a.TPS = float64(p.completed) / float64(span)
 	}
-	return systems.BuildWindow(x.acct, t, aggs)
+	return a
 }
 
 // runningTask tracks one dispatched job so an interruption can cancel its
@@ -343,40 +221,6 @@ type spotProvider struct {
 	stopTick    func()
 	firstSubmit sim.Time
 	lastDone    sim.Time
-}
-
-// schedule wires the provider's market ticks, cluster acquisition and job
-// arrivals onto the virtual clock.
-func (p *spotProvider) schedule() error {
-	wl := p.wl
-	p.firstSubmit = wl.FirstSubmit()
-	p.engine.At(p.firstSubmit, func() {
-		p.tryAcquire()
-		p.stopTick = p.engine.Every(sim.Hour, p.tick)
-	})
-	switch wl.Class {
-	case job.HTC:
-		p.submitted = len(wl.Jobs)
-		p.engine.ScheduleBatch(len(wl.Jobs), func(i int) (sim.Time, func()) {
-			j := &wl.Jobs[i]
-			return j.Submit, func() { p.enqueue(j) }
-		})
-	case job.MTC:
-		p.submitted = len(wl.Jobs)
-		p.initMTC()
-		for _, a := range p.workflowActions() {
-			p.engine.At(a.At, a.Run)
-		}
-	default:
-		return fmt.Errorf("unknown class %v", wl.Class)
-	}
-	return nil
-}
-
-// initMTC prepares the provider's dependency-tracking state.
-func (p *spotProvider) initMTC() {
-	p.unmet = make(map[int]int)
-	p.dependents = make(map[int][]*job.Job)
 }
 
 // workflowActions builds one submission action per workflow of the

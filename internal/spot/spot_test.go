@@ -68,9 +68,9 @@ func TestRegisteredInDefaultRegistry(t *testing.T) {
 }
 
 func TestRunCompletesHTCWork(t *testing.T) {
-	res, err := Run(context.Background(), []systems.Workload{htcWorkload()}, systems.Options{
+	res, err := System.Execute(context.Background(), []systems.Workload{htcWorkload()}, systems.Options{
 		Horizon: 7 * sim.Day, Seed: 42,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -95,9 +95,9 @@ func TestRunCompletesHTCWork(t *testing.T) {
 }
 
 func TestRunCompletesMTCWorkflows(t *testing.T) {
-	res, err := Run(context.Background(), []systems.Workload{mtcWorkload()}, systems.Options{
+	res, err := System.Execute(context.Background(), []systems.Workload{mtcWorkload()}, systems.Options{
 		Horizon: 2 * sim.Day, Seed: 5,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -119,11 +119,11 @@ func TestRunCompletesMTCWorkflows(t *testing.T) {
 
 func TestDeterministicPerSeedAndSensitiveToSeed(t *testing.T) {
 	opts := systems.Options{Horizon: 14 * sim.Day, Seed: 11}
-	a, err := Run(context.Background(), []systems.Workload{htcWorkload()}, opts)
+	a, err := System.Execute(context.Background(), []systems.Workload{htcWorkload()}, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(context.Background(), []systems.Workload{htcWorkload()}, opts)
+	b, err := System.Execute(context.Background(), []systems.Workload{htcWorkload()}, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +134,8 @@ func TestDeterministicPerSeedAndSensitiveToSeed(t *testing.T) {
 	// (different price paths). Check a few seeds to avoid flakiness.
 	varied := false
 	for seed := int64(12); seed < 17; seed++ {
-		c, err := Run(context.Background(), []systems.Workload{htcWorkload()},
-			systems.Options{Horizon: 14 * sim.Day, Seed: seed})
+		c, err := System.Execute(context.Background(), []systems.Workload{htcWorkload()},
+			systems.Options{Horizon: 14 * sim.Day, Seed: seed}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,14 +154,14 @@ func TestInterruptionsCostAdjustmentsVersusSSP(t *testing.T) {
 	// interruption, visible as more node adjustments than plain SSP's
 	// startup/teardown pair.
 	wl := htcWorkload()
-	ssp, err := systems.RunSSP(context.Background(), []systems.Workload{wl.Clone()}, systems.Options{Horizon: 14 * sim.Day})
+	ssp, err := systems.SSP.Execute(context.Background(), []systems.Workload{wl.Clone()}, systems.Options{Horizon: 14 * sim.Day}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sawInterruption := false
 	for seed := int64(1); seed <= 8 && !sawInterruption; seed++ {
-		res, err := Run(context.Background(), []systems.Workload{wl.Clone()},
-			systems.Options{Horizon: 14 * sim.Day, Seed: seed})
+		res, err := System.Execute(context.Background(), []systems.Workload{wl.Clone()},
+			systems.Options{Horizon: 14 * sim.Day, Seed: seed}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,16 +177,8 @@ func TestInterruptionsCostAdjustmentsVersusSSP(t *testing.T) {
 func TestRunHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Run(ctx, []systems.Workload{htcWorkload()}, systems.Options{Horizon: 14 * sim.Day})
+	_, err := System.Execute(ctx, []systems.Workload{htcWorkload()}, systems.Options{Horizon: 14 * sim.Day}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestValidatesWorkloads(t *testing.T) {
-	bad := htcWorkload()
-	bad.Name = ""
-	if _, err := Run(context.Background(), []systems.Workload{bad}, systems.Options{}); err == nil {
-		t.Error("invalid workload accepted")
 	}
 }

