@@ -241,9 +241,23 @@ func (e *Engine) registerFeed(run *service.Run, feed *stream.Feed) {
 // false for runs without one — no live providers, terminal, or evicted.
 func (e *Engine) Feed(id string) (*LiveFeed, bool) {
 	e.feedMu.Lock()
-	defer e.feedMu.Unlock()
 	f, ok := e.feeds[id]
-	return f, ok
+	e.feedMu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	// registerFeed retires the feed asynchronously once the run is
+	// terminal; until it has, the run's own status decides.
+	run, ok := e.runService().Get(id)
+	if !ok {
+		return nil, false
+	}
+	select {
+	case <-run.Done():
+		return nil, false
+	default:
+		return f, true
+	}
 }
 
 // Handle returns the handle of a stored run by ID (previously submitted

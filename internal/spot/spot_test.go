@@ -182,3 +182,17 @@ func TestRunHonorsCancellation(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+// TestValidatesWorkloads pins ssp-spot's public boundary: the registered
+// runner rejects invalid input before the shared driver runs it.
+func TestValidatesWorkloads(t *testing.T) {
+	runner, ok := registry.Default.Lookup(Name)
+	if !ok {
+		t.Fatalf("%s not registered", Name)
+	}
+	bad := htcWorkload()
+	bad.Name = ""
+	if _, err := runner.Run(context.Background(), []systems.Workload{bad}, systems.Options{}); err == nil {
+		t.Error("invalid workload accepted")
+	}
+}

@@ -80,6 +80,17 @@ func TestRunnersValidateWorkloads(t *testing.T) {
 	}
 }
 
+// TestRunRejectsInvalidWorkloads pins the built-in DCS, SSP and DRP
+// runners: each validating adapter rejects an unnamed workload.
+func TestRunRejectsInvalidWorkloads(t *testing.T) {
+	bad := htc("")
+	for _, d := range []*systems.Descriptor{systems.DCS, systems.SSP, systems.DRP} {
+		if _, err := registry.Describe(d).Run(context.Background(), []systems.Workload{bad}, systems.Options{Horizon: 3600}); err == nil {
+			t.Errorf("%s runner accepted invalid workload", d.Name)
+		}
+	}
+}
+
 // TestPartitionedRunnersMatchSerial runs every descriptor-registered
 // system over irregular provider sets at every feasible partition count
 // and requires results identical to the serial run — including the
