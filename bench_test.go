@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/policy"
+	"repro/internal/scenario"
 )
 
 // benchSeed keeps every bench on the same deterministic workloads.
@@ -28,15 +29,27 @@ func printArtifact(a experiments.Artifact) {
 	fmt.Printf("\n%s\n%s", a.PaperRef, a.Text)
 }
 
-// benchArtifact measures the full regeneration of one paper artifact.
-func benchArtifact(b *testing.B, produce func(s *experiments.Suite) (experiments.Artifact, error)) {
+// renderArtifacts plans and renders the paper artifacts ids over the
+// two-week window on workers concurrent cells (0 = all CPUs).
+func renderArtifacts(b *testing.B, workers int, ids ...string) []experiments.Artifact {
+	b.Helper()
+	plan, err := experiments.NewPlan(benchSeed, 14, ids)
+	if err != nil {
+		b.Fatal(err)
+	}
+	arts, err := plan.Run(context.Background(), workers, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return arts
+}
+
+// benchArtifact measures the full regeneration of one paper artifact:
+// its scenario runs plus rendering.
+func benchArtifact(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		suite := experiments.NewSuite(benchSeed)
-		a, err := produce(suite)
-		if err != nil {
-			b.Fatal(err)
-		}
+		a := renderArtifacts(b, 0, id)[0]
 		if i == 0 {
 			printArtifact(a)
 			reportValues(b, a)
@@ -46,7 +59,7 @@ func benchArtifact(b *testing.B, produce func(s *experiments.Suite) (experiments
 
 // reportValues surfaces the artifact's headline numbers as bench metrics.
 func reportValues(b *testing.B, a experiments.Artifact) {
-	for _, system := range experiments.SystemNames {
+	for _, system := range scenario.SystemNames {
 		if v, ok := a.Values["nodehours_"+system]; ok {
 			b.ReportMetric(v, system+"-node-hours")
 		}
@@ -68,49 +81,49 @@ func BenchmarkTable1UsageModels(b *testing.B) {
 
 // BenchmarkFigure9ParamSweepBLUE regenerates the BLUE B x R sweep.
 func BenchmarkFigure9ParamSweepBLUE(b *testing.B) {
-	benchArtifact(b, func(s *experiments.Suite) (experiments.Artifact, error) { return s.Figure9(context.Background()) })
+	benchArtifact(b, "fig9")
 }
 
 // BenchmarkFigure10ParamSweepNASA regenerates the NASA B x R sweep.
 func BenchmarkFigure10ParamSweepNASA(b *testing.B) {
-	benchArtifact(b, func(s *experiments.Suite) (experiments.Artifact, error) { return s.Figure10(context.Background()) })
+	benchArtifact(b, "fig10")
 }
 
 // BenchmarkFigure11ParamSweepMontage regenerates the Montage B x R sweep.
 func BenchmarkFigure11ParamSweepMontage(b *testing.B) {
-	benchArtifact(b, func(s *experiments.Suite) (experiments.Artifact, error) { return s.Figure11(context.Background()) })
+	benchArtifact(b, "fig11")
 }
 
 // BenchmarkTable2NASA regenerates the NASA service-provider table.
 func BenchmarkTable2NASA(b *testing.B) {
-	benchArtifact(b, func(s *experiments.Suite) (experiments.Artifact, error) { return s.Table2(context.Background()) })
+	benchArtifact(b, "table2")
 }
 
 // BenchmarkTable3BLUE regenerates the BLUE service-provider table.
 func BenchmarkTable3BLUE(b *testing.B) {
-	benchArtifact(b, func(s *experiments.Suite) (experiments.Artifact, error) { return s.Table3(context.Background()) })
+	benchArtifact(b, "table3")
 }
 
 // BenchmarkTable4Montage regenerates the Montage service-provider table.
 func BenchmarkTable4Montage(b *testing.B) {
-	benchArtifact(b, func(s *experiments.Suite) (experiments.Artifact, error) { return s.Table4(context.Background()) })
+	benchArtifact(b, "table4")
 }
 
 // BenchmarkFigure12TotalConsumption regenerates the resource provider's
 // total consumption comparison.
 func BenchmarkFigure12TotalConsumption(b *testing.B) {
-	benchArtifact(b, func(s *experiments.Suite) (experiments.Artifact, error) { return s.Figure12(context.Background()) })
+	benchArtifact(b, "fig12")
 }
 
 // BenchmarkFigure13PeakConsumption regenerates the peak comparison.
 func BenchmarkFigure13PeakConsumption(b *testing.B) {
-	benchArtifact(b, func(s *experiments.Suite) (experiments.Artifact, error) { return s.Figure13(context.Background()) })
+	benchArtifact(b, "fig13")
 }
 
 // BenchmarkFigure14AdjustmentOverhead regenerates the management-overhead
 // comparison.
 func BenchmarkFigure14AdjustmentOverhead(b *testing.B) {
-	benchArtifact(b, func(s *experiments.Suite) (experiments.Artifact, error) { return s.Figure14(context.Background()) })
+	benchArtifact(b, "fig14")
 }
 
 // BenchmarkTCOAnalysis regenerates the Section 4.5.5 cost comparison.
@@ -185,29 +198,22 @@ func BenchmarkAblationProvisionPolicy(b *testing.B) {
 }
 
 // BenchmarkFullEvaluation regenerates every artifact in paper order, the
-// whole Section 4 in one measurement. The suite fans independent
-// simulations out over all CPUs; compare with BenchmarkFullEvaluationSerial
-// for the parallel speedup.
+// whole Section 4 in one measurement. Each study fans its cells out over
+// all CPUs; compare with BenchmarkFullEvaluationSerial for the parallel
+// speedup.
 func BenchmarkFullEvaluation(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		suite := experiments.NewSuite(benchSeed)
-		if _, err := suite.Artifacts(); err != nil {
-			b.Fatal(err)
-		}
+		renderArtifacts(b, 0, "all")
 	}
 }
 
 // BenchmarkFullEvaluationSerial is the workers=1 reference for the same
-// artifact set: the pre-parallelization behaviour.
+// artifact set.
 func BenchmarkFullEvaluationSerial(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		suite := experiments.NewSuite(benchSeed)
-		suite.Workers = 1
-		if _, err := suite.Artifacts(); err != nil {
-			b.Fatal(err)
-		}
+		renderArtifacts(b, 1, "all")
 	}
 }
 
@@ -230,8 +236,8 @@ func BenchmarkDawningCloudSimulation(b *testing.B) {
 
 // BenchmarkDawningCloudSimulationParallel runs independent full
 // simulations on every P, the aggregate-throughput view of the engine:
-// each iteration clones the workloads exactly like the suite's parallel
-// runner does.
+// each iteration clones the workloads exactly like the scenario engine's
+// cells do.
 func BenchmarkDawningCloudSimulationParallel(b *testing.B) {
 	wls, err := PaperWorkloads(benchSeed)
 	if err != nil {
@@ -250,9 +256,9 @@ func BenchmarkDawningCloudSimulationParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkRunSystemsAllFour measures the Engine's fan-out runner over
+// BenchmarkRunAllFourSystems measures the Engine's fan-out runner over
 // the four compared systems on all CPUs.
-func BenchmarkRunSystemsAllFour(b *testing.B) {
+func BenchmarkRunAllFourSystems(b *testing.B) {
 	wls, err := PaperWorkloads(benchSeed)
 	if err != nil {
 		b.Fatal(err)

@@ -128,7 +128,7 @@ func main() {
 
 	// The evaluation runs as one suite request through the asynchronous
 	// lifecycle: "all"/"extensions"/single IDs expand inside the engine
-	// (experiments.ExpandArtifactIDs), and -progress consumes the
+	// (experiments.NewPlan), and -progress consumes the
 	// handle's event stream through the shared console renderer.
 	h, err := dawningcloud.DefaultEngine().Submit(ctx, dawningcloud.SubmitRequest{
 		Experiments: []string{*experiment},

@@ -21,8 +21,9 @@
 //     synthetic NASA iPSC and SDSC BLUE traces and the 1,000-task Montage
 //     workflow), plus custom workload building from SWF files or workflow
 //     JSON;
-//   - the experiment suite regenerating every table and figure of the
-//     paper's evaluation;
+//   - the paper's evaluation artifacts: every table and figure of
+//     Section 4, rendered from scenario reports and requested by ID
+//     through SubmitRequest.Experiments;
 //   - the Section 4.5.5 TCO calculator.
 //
 // Quick start — blocking:
@@ -53,8 +54,7 @@
 //
 // Runs accept a context and honor cancellation end-to-end;
 // WithEvents subscribes to the typed progress stream (run started, cell
-// completed, table rendered). The pre-Engine enum API (System, Run,
-// RunSystems, AllSystems) remains as deprecated wrappers in compat.go.
+// completed, table rendered).
 package dawningcloud
 
 import (
@@ -90,12 +90,8 @@ type (
 	Job = job.Job
 	// PolicyParams are the DSP resource-management knobs (B, R, scans).
 	PolicyParams = policy.Params
-	// Suite regenerates the paper's tables and figures.
-	Suite = experiments.Suite
 	// Artifact is one rendered table or figure.
 	Artifact = experiments.Artifact
-	// SweepPoint is one B×R parameter combination's outcome in a Sweep.
-	SweepPoint = experiments.SweepPoint
 	// Scenario is a declarative n-provider × m-system simulation spec
 	// (JSON, with validation and defaults).
 	Scenario = scenario.Spec
@@ -249,9 +245,6 @@ func ScenarioJSON(name string) (string, error) { return scenario.BuiltinJSON(nam
 
 // TwoWeeks is the paper's accounting window in seconds.
 const TwoWeeks = 14 * sim.Day
-
-// NewSuite builds the experiment suite over the paper's two-week window.
-func NewSuite(seed int64) *Suite { return experiments.NewSuite(seed) }
 
 // TCOComparison reproduces Section 4.5.5: the monthly TCO of the paper's
 // real DCS deployment versus the matched EC2 fleet, with the SSP/DCS ratio

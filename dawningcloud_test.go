@@ -1,7 +1,6 @@
 package dawningcloud
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -94,17 +93,6 @@ func TestTCOComparison(t *testing.T) {
 	}
 	if math.Abs(ratio-0.7146) > 0.001 {
 		t.Errorf("ratio = %.4f, want ~0.715", ratio)
-	}
-}
-
-func TestNewSuiteProducesArtifacts(t *testing.T) {
-	s := NewSuite(11)
-	a, err := s.Table4(context.Background())
-	if err != nil {
-		t.Fatalf("Table4: %v", err)
-	}
-	if a.ID != "table4" || a.Text == "" {
-		t.Errorf("artifact = %+v", a)
 	}
 }
 

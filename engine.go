@@ -33,8 +33,8 @@ type RunnerFunc = registry.Func
 // CellCompletedEvent and TableRenderedEvent.
 type Event = events.Event
 
-// The typed events an Engine (and the experiment suite and scenario
-// runner) emit.
+// The typed events an Engine (and the scenario runner and the artifact
+// renderers) emit.
 type (
 	// RunStartedEvent announces one simulation starting.
 	RunStartedEvent = events.RunStarted
@@ -50,7 +50,7 @@ type (
 // DefaultEngine shares the process-wide one; NewEngine snapshots it —
 // and executes runs through a shared run service: Submit starts work
 // asynchronously and returns a RunHandle; the blocking methods (Run,
-// RunAll, Sweep) are thin wrappers executing the same lifecycle inline
+// RunAll) are thin wrappers executing the same lifecycle inline
 // on the caller's goroutine. Per-call functional options configure
 // simulation options, worker counts, seeds and event sinks.
 type Engine struct {
@@ -311,7 +311,7 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 }
 
 // Register adds a system under name (case-insensitively unique). The
-// system is immediately runnable via Run, RunAll and Sweep; on the
+// system is immediately runnable via Run and RunAll; on the
 // default engine it also becomes available to the CLIs and to scenario
 // specs by name.
 func (e *Engine) Register(name string, r Runner) error { return e.reg.Register(name, r) }
@@ -343,8 +343,8 @@ func WithOptions(opts Options) RunOption {
 	return func(c *runConfig) { c.opts = opts }
 }
 
-// WithWorkers bounds how many simulations run concurrently in RunAll and
-// Sweep (0 = all CPUs). Single runs ignore it.
+// WithWorkers bounds how many simulations run concurrently in RunAll,
+// scenario and suite runs (0 = all CPUs). Single runs ignore it.
 func WithWorkers(n int) RunOption {
 	return func(c *runConfig) { c.workers = n }
 }
@@ -417,7 +417,7 @@ func (e *Engine) runOne(ctx context.Context, system string, workloads []Workload
 		label += " [" + cell + "]"
 	}
 	// Blocking callers own their workloads for the duration of the call
-	// (RunAll and Sweep pre-clone per cell), so no execution-time clone —
+	// (RunAll pre-clones per cell), so no execution-time clone —
 	// exactly the pre-handle behavior.
 	run, err := e.runService().RunInline(ctx, service.Request{
 		Kind:  "system",
@@ -462,52 +462,4 @@ func (e *Engine) RunAll(ctx context.Context, sys []string, workloads []Workload,
 		return nil, err
 	}
 	return results, nil
-}
-
-// Sweep runs one system over the B×R policy grid for a single provider's
-// workload in isolation — the paper's parameter-tuning methodology,
-// generalized to any registered system. Grid points are independent
-// simulations fanning out over WithWorkers; the returned slice is in
-// b-major, r-minor order regardless of scheduling, and each point clones
-// the base workload before retuning it.
-func (e *Engine) Sweep(ctx context.Context, system string, base Workload, bs []int, rs []float64, opts ...RunOption) ([]SweepPoint, error) {
-	cfg := newRunConfig(opts)
-	if len(bs) == 0 || len(rs) == 0 {
-		return nil, fmt.Errorf("dawningcloud: sweep needs at least one B and one R value")
-	}
-	points := make([]SweepPoint, len(bs)*len(rs))
-	var done atomic.Int64
-	err := par.ForEach(workers(cfg.workers), len(points), func(i int) error {
-		b, r := bs[i/len(rs)], rs[i%len(rs)]
-		wl := base.Clone()
-		wl.Params.InitialNodes = b
-		wl.Params.ThresholdRatio = r
-		cell := fmt.Sprintf("B%d|R%g", b, r)
-		res, err := e.runOne(ctx, system, []Workload{wl}, cfg, cell)
-		if err != nil {
-			return fmt.Errorf("dawningcloud: sweep %s B%d R%g: %w", base.Name, b, r, err)
-		}
-		p, ok := res.Provider(base.Name)
-		if !ok {
-			return fmt.Errorf("dawningcloud: sweep %s B%d R%g: provider missing from result", base.Name, b, r)
-		}
-		pt := SweepPoint{
-			B:              b,
-			R:              r,
-			NodeHours:      p.NodeHours,
-			Completed:      p.Completed,
-			TasksPerSecond: p.TasksPerSecond,
-			Perf:           float64(p.Completed),
-		}
-		if base.Class == MTC {
-			pt.Perf = p.TasksPerSecond
-		}
-		points[i] = pt
-		cfg.sink.Emit(events.CellCompleted{Index: int(done.Add(1)), Total: len(points), Key: cell})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return points, nil
 }

@@ -194,32 +194,6 @@ func TestEngineRunAllNilRunsAllRegistered(t *testing.T) {
 	}
 }
 
-func TestEngineSweep(t *testing.T) {
-	montage, err := MontageWorkload(3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	points, err := DefaultEngine().Sweep(context.Background(), "DawningCloud", montage,
-		[]int{10, 80}, []float64{8}, WithOptions(Options{Horizon: 6 * 3600}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 2 {
-		t.Fatalf("points = %d, want 2", len(points))
-	}
-	for _, pt := range points {
-		if pt.NodeHours <= 0 || pt.Completed != 1000 {
-			t.Errorf("point B%d R%g: %+v", pt.B, pt.R, pt)
-		}
-		if pt.Perf != pt.TasksPerSecond {
-			t.Errorf("MTC sweep Perf = %g, want tasks/s %g", pt.Perf, pt.TasksPerSecond)
-		}
-	}
-	if _, err := DefaultEngine().Sweep(context.Background(), "DawningCloud", montage, nil, nil); err == nil {
-		t.Error("empty grid accepted")
-	}
-}
-
 func TestEngineEventsStream(t *testing.T) {
 	montage, err := MontageWorkload(3, 0)
 	if err != nil {

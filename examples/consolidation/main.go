@@ -15,17 +15,18 @@ import (
 
 func main() {
 	ctx := context.Background()
-	suite := dawningcloud.NewSuite(42)
-
-	steps := []func(context.Context) (dawningcloud.Artifact, error){
-		suite.Table2, suite.Table3, suite.Table4,
-		suite.Figure12, suite.Figure13, suite.Figure14,
+	h, err := dawningcloud.DefaultEngine().Submit(ctx, dawningcloud.SubmitRequest{
+		Experiments: []string{"table2", "table3", "table4", "fig12", "fig13", "fig14"},
+		Seed:        42,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-	for _, step := range steps {
-		a, err := step(ctx)
-		if err != nil {
-			log.Fatal(err)
-		}
+	res, err := h.Result(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, a := range res.Artifacts {
 		fmt.Println(a.Text)
 		fmt.Printf("[%s]\n\n", a.PaperRef)
 	}

@@ -8,27 +8,39 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/experiments"
+	dawningcloud "repro"
 )
 
-func main() {
-	suite := experiments.NewSuite(42)
-	suite.Days = 7 // one week keeps this example fast
+// spec sweeps DawningCloud over the paper's HTC grid for the NASA-like
+// organization; one week keeps this example fast.
+const spec = `{
+  "name": "tuning-nasa",
+  "seed": 42,
+  "days": 7,
+  "systems": ["DawningCloud"],
+  "providers": [{"name": "org-nasa-htc", "source": {"kind": "synth", "model": "nasa"}}],
+  "sweep": {"grid": {"provider": "org-nasa-htc", "b": [10, 20, 40, 80], "r": [1.0, 1.2, 1.5, 2.0]}}
+}`
 
-	fmt.Println("DawningCloud parameter sweep, NASA trace (one-week window):")
-	points, err := suite.Sweep(experiments.NASAProvider,
-		[]int{10, 20, 40, 80}, []float64{1.0, 1.2, 1.5, 2.0})
+func main() {
+	s, err := dawningcloud.ParseScenario([]byte(spec))
 	if err != nil {
 		log.Fatal(err)
 	}
+	rep, err := dawningcloud.RunScenario(s, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	fmt.Println("DawningCloud parameter sweep, NASA trace (one-week window):")
 	fmt.Printf("%-10s %-22s %s\n", "params", "consumption (node*h)", "completed jobs")
-	best := points[0]
-	for _, p := range points {
+	best := rep.Grid[0]
+	for _, p := range rep.Grid {
 		marker := ""
 		if p.B == 40 && p.R == 1.2 {
 			marker = "   <- paper's choice"
 		}
-		fmt.Printf("B%-3d R%-4.1f %-22.0f %.0f%s\n", p.B, p.R, p.NodeHours, p.Perf, marker)
+		fmt.Printf("B%-3d R%-4.1f %-22.0f %d%s\n", p.B, p.R, p.NodeHours, p.Completed, marker)
 		if p.NodeHours < best.NodeHours {
 			best = p
 		}

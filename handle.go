@@ -65,8 +65,9 @@ var (
 //     (inner concurrency via WithWorkers);
 //   - Experiments: paper-evaluation artifacts by ID ("all",
 //     "extensions", or any of table1..table4, fig9..fig14, tco,
-//     ext-scale, ext-backfill, ext-provision), built from a suite with
-//     the request's Seed and Days.
+//     ext-scale, ext-backfill, ext-provision), rendered from scenario
+//     runs derived from paper-baseline at the request's Seed and Days
+//     (inner concurrency via WithWorkers).
 //
 // Submitted workloads and scenario specs must be treated as read-only
 // until the run is terminal: the run may execute at any time on a
@@ -80,11 +81,11 @@ type SubmitRequest struct {
 	Scenario *Scenario
 	// Experiments lists paper-evaluation artifact IDs.
 	Experiments []string
-	// Seed drives suite workload generation for Experiments requests
-	// (0 means 42, the paper's seed).
+	// Seed drives workload generation for Experiments requests (0
+	// means 42, the paper's seed).
 	Seed int64
-	// Days is the suite trace window for Experiments requests
-	// (0 means 14, the paper's two weeks).
+	// Days is the trace window for Experiments requests (0 means 14,
+	// the paper's two weeks).
 	Days int
 }
 
@@ -436,10 +437,11 @@ func (e *Engine) buildSuiteRequest(req SubmitRequest, cfg runConfig) (service.Re
 	if days == 0 {
 		days = 14
 	}
-	ids, err := experiments.ExpandArtifactIDs(req.Experiments)
+	plan, err := experiments.NewPlan(seed, days, req.Experiments)
 	if err != nil {
 		return service.Request{}, fmt.Errorf("dawningcloud: submit experiments: %w", err)
 	}
+	ids := plan.IDs
 	workers := cfg.workers
 	h := service.NewHasher("suite").Int(seed).Int(int64(days))
 	for _, id := range ids {
@@ -458,11 +460,7 @@ func (e *Engine) buildSuiteRequest(req SubmitRequest, cfg runConfig) (service.Re
 		Spec:  spec,
 		Sink:  cfg.sink,
 		Task: func(ctx context.Context, sink events.Sink) (any, error) {
-			suite := experiments.NewSuite(seed)
-			suite.Days = days
-			suite.Workers = workers
-			suite.Events = sink
-			return suite.ArtifactsByID(ctx, ids...)
+			return plan.Run(ctx, workers, sink)
 		},
 	}, nil
 }

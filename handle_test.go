@@ -395,6 +395,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown system", SubmitRequest{System: "warp", Workloads: []Workload{wl}}, `unknown system "warp"`},
 		{"no workloads", SubmitRequest{System: "DCS"}, "no workloads"},
 		{"unknown experiment", SubmitRequest{Experiments: []string{"table99"}}, `unknown experiment "table99"`},
+		{"negative days on experiments", SubmitRequest{Experiments: []string{"table2"}, Days: -1}, "days: accounting window -1 days < 1"},
 	}
 	// Options that would be silently dropped are rejected instead: a
 	// WithSeed(7) suite submission must not be served another seed's

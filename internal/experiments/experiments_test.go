@@ -3,20 +3,91 @@ package experiments
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/events"
 	"repro/internal/job"
+	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
-// The full two-week suite runs in well under a second, so the shape tests
-// use the paper's real window. One shared suite avoids re-simulating.
-var shared = NewSuite(42)
-
-func TestWorkloadsConstruction(t *testing.T) {
-	wls, err := shared.Workloads()
+// runPlan builds and runs a plan for ids at seed and days on workers.
+func runPlan(seed int64, days, workers int, ids ...string) ([]Artifact, error) {
+	p, err := NewPlan(seed, days, ids)
 	if err != nil {
-		t.Fatalf("Workloads: %v", err)
+		return nil, err
 	}
+	return p.Run(context.Background(), workers, nil)
+}
+
+// render is runPlan, failing the test on error.
+func render(t testing.TB, seed int64, days, workers int, ids ...string) []Artifact {
+	t.Helper()
+	arts, err := runPlan(seed, days, workers, ids...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return arts
+}
+
+// studySpec derives one study's spec at seed and days.
+func studySpec(t testing.TB, key string, seed int64, days int) *scenario.Spec {
+	t.Helper()
+	base, err := paperSpec(seed, days)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return studies[key](*base).spec
+}
+
+// runSpec runs a scenario spec on workers, counting its simulations
+// through the event stream.
+func runSpec(t testing.TB, spec *scenario.Spec, workers int) (*scenario.Report, int) {
+	t.Helper()
+	var mu sync.Mutex
+	started := 0
+	rep, err := scenario.RunContext(context.Background(), spec, workers, func(ev events.Event) {
+		if _, ok := ev.(events.RunStarted); ok {
+			mu.Lock()
+			started++
+			mu.Unlock()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, started
+}
+
+// The full two-week paper-baseline study runs in well under a second, so
+// the shape tests use the paper's real window. One shared report avoids
+// re-simulating.
+var (
+	paperOnce sync.Once
+	paperRep  *scenario.Report
+)
+
+func paperReport(t testing.TB) *scenario.Report {
+	t.Helper()
+	paperOnce.Do(func() {
+		paperRep, _ = runSpec(t, studySpec(t, "paper-baseline", 42, 14), 0)
+	})
+	if paperRep == nil {
+		t.Fatal("paper-baseline study failed")
+	}
+	return paperRep
+}
+
+// TestWorkloadsConstruction pins the paper-baseline study's three service
+// providers: sizes, classes, policy knobs and the Montage submission
+// mid-window.
+func TestWorkloadsConstruction(t *testing.T) {
+	c, err := scenario.Compile(studySpec(t, "paper-baseline", 42, 14))
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	wls := c.Workloads
 	if len(wls) != 3 {
 		t.Fatalf("workloads = %d, want 3 (two HTC + one MTC)", len(wls))
 	}
@@ -45,21 +116,15 @@ func TestWorkloadsConstruction(t *testing.T) {
 	if montage.Params.ScanInterval != 3 {
 		t.Errorf("Montage scan interval = %d, want 3", montage.Params.ScanInterval)
 	}
-}
-
-func TestRunUnknownSystem(t *testing.T) {
-	if _, err := shared.Run("VMS"); err == nil {
-		t.Error("unknown system accepted")
+	if got := montage.Jobs[0].Submit; got != 644400 {
+		t.Errorf("Montage submitted at %d, want 644400 (day 7, 11:00)", got)
 	}
 }
 
 // TestPaperShapeServiceProviders asserts the orderings of Tables 2-4: who
 // wins and roughly by what factor, the reproduction contract.
 func TestPaperShapeServiceProviders(t *testing.T) {
-	rs, err := shared.RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := paperReport(t).Base
 	get := func(system, provider string) float64 {
 		p, ok := rs[system].Provider(provider)
 		if !ok {
@@ -121,10 +186,7 @@ func TestPaperShapeServiceProviders(t *testing.T) {
 // TestPaperShapeThroughput asserts the performance columns: queued systems
 // never beat DRP, and DawningCloud matches DCS/SSP.
 func TestPaperShapeThroughput(t *testing.T) {
-	rs, err := shared.RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := paperReport(t).Base
 	for _, prov := range []string{NASAProvider, BLUEProvider} {
 		dcs, _ := rs["DCS"].Provider(prov)
 		drp, _ := rs["DRP"].Provider(prov)
@@ -153,10 +215,7 @@ func TestPaperShapeThroughput(t *testing.T) {
 // TestPaperShapeResourceProvider asserts Figures 12-14: total, peak and
 // adjustment orderings for the resource provider.
 func TestPaperShapeResourceProvider(t *testing.T) {
-	rs, err := shared.RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := paperReport(t).Base
 	dcs, ssp, drp, dc := rs["DCS"], rs["SSP"], rs["DRP"], rs["DawningCloud"]
 	// Figure 12: DawningCloud's total is the lowest.
 	if dc.TotalNodeHours >= dcs.TotalNodeHours {
@@ -214,12 +273,12 @@ func TestTable1Static(t *testing.T) {
 }
 
 func TestTablesRender(t *testing.T) {
-	for _, step := range []func(context.Context) (Artifact, error){shared.Table2, shared.Table3, shared.Table4} {
-		a, err := step(context.Background())
+	for _, tb := range []tableSpec{table2, table3, table4} {
+		a, err := providerTable(paperReport(t), tb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, system := range SystemNames {
+		for _, system := range scenario.SystemNames {
 			if !strings.Contains(a.Text, system) {
 				t.Errorf("%s missing row for %s:\n%s", a.ID, system, a.Text)
 			}
@@ -234,15 +293,12 @@ func TestTablesRender(t *testing.T) {
 }
 
 func TestFiguresRender(t *testing.T) {
-	for _, step := range []func(context.Context) (Artifact, error){shared.Figure12, shared.Figure13, shared.Figure14} {
-		a, err := step(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, fig := range []func(*scenario.Report) Artifact{figure12, figure13, figure14} {
+		a := fig(paperReport(t))
 		if !strings.Contains(a.SVG, "<svg") {
 			t.Errorf("%s has no SVG", a.ID)
 		}
-		for _, system := range SystemNames {
+		for _, system := range scenario.SystemNames {
 			if _, ok := a.Values[system]; !ok {
 				t.Errorf("%s missing value for %s", a.ID, system)
 			}
@@ -273,10 +329,10 @@ func TestTCOMatchesPaper(t *testing.T) {
 // 166/80 stays under the threshold, so the TRE never expands — cheaper but
 // slower. The paper picks B10_R8 for exactly this reason.
 func TestSweepParameterEffects(t *testing.T) {
-	pts, err := shared.Sweep(MontageProvider, []int{10, 80}, []float64{8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := studySpec(t, "fig11", 42, 14)
+	spec.Sweep.Grid.B, spec.Sweep.Grid.R = []int{10, 80}, []float64{8}
+	rep, _ := runSpec(t, spec, 0)
+	pts := rep.Grid
 	if len(pts) != 2 {
 		t.Fatalf("points = %d, want 2", len(pts))
 	}
@@ -285,29 +341,33 @@ func TestSweepParameterEffects(t *testing.T) {
 		t.Errorf("B80 consumption %.0f not below B10 %.0f (no expansion expected)",
 			b80.NodeHours, b10.NodeHours)
 	}
-	if b80.Perf >= b10.Perf {
+	if b80.TasksPerSecond >= b10.TasksPerSecond {
 		t.Errorf("B80 tasks/s %.2f not below B10 %.2f (fewer nodes must be slower)",
-			b80.Perf, b10.Perf)
+			b80.TasksPerSecond, b10.TasksPerSecond)
 	}
 	for _, p := range pts {
-		if p.Perf < 0.5 || p.Perf > 4.0 {
-			t.Errorf("B%d R%g tasks/s = %.2f outside sane band", p.B, p.R, p.Perf)
+		if p.TasksPerSecond < 0.5 || p.TasksPerSecond > 4.0 {
+			t.Errorf("B%d R%g tasks/s = %.2f outside sane band", p.B, p.R, p.TasksPerSecond)
 		}
 	}
 }
 
+// TestSweepUnknownProvider: a grid over a provider the paper-baseline
+// spec does not declare fails validation when the plan is built.
 func TestSweepUnknownProvider(t *testing.T) {
-	if _, err := shared.Sweep("nobody", []int{10}, []float64{1}); err == nil {
-		t.Error("unknown provider accepted")
+	base, err := paperSpec(42, 14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := gridStudy(sweepFigure{provider: "nobody"})(*base)
+	if err := st.spec.Validate(); err == nil || !strings.Contains(err.Error(), "sweep.grid.provider") {
+		t.Errorf("unknown provider: err = %v, want a sweep.grid.provider error", err)
 	}
 }
 
 func TestFigure9SweepRendersAllPoints(t *testing.T) {
-	a, err := shared.Figure9(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantPoints := len(SweepInitials) * len(SweepRatiosHTC)
+	a := render(t, 42, 14, 0, "fig9")[0]
+	wantPoints := len(sweepInitials) * len(sweepRatiosHTC)
 	count := 0
 	for k := range a.Values {
 		if strings.HasPrefix(k, "nodehours_") {
@@ -323,10 +383,7 @@ func TestFigure9SweepRendersAllPoints(t *testing.T) {
 }
 
 func TestArtifactsComplete(t *testing.T) {
-	arts, err := shared.Artifacts()
-	if err != nil {
-		t.Fatal(err)
-	}
+	arts := render(t, 42, 14, 0, "all")
 	wantIDs := []string{"table1", "fig9", "fig10", "fig11", "table2", "table3",
 		"table4", "fig12", "fig13", "fig14", "tco"}
 	if len(arts) != len(wantIDs) {
@@ -342,12 +399,23 @@ func TestArtifactsComplete(t *testing.T) {
 	}
 }
 
+// TestQuickSuiteRuns: a short-window request derives its studies at that
+// window — three providers over a four-day horizon, with the Montage
+// workflow moved to the new mid-window.
 func TestQuickSuiteRuns(t *testing.T) {
-	q := NewQuickSuite(7)
-	r, err := q.Run("DawningCloud")
+	spec := studySpec(t, "paper-baseline", 7, 4)
+	c, err := scenario.Compile(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got, want := c.Workloads[2].Jobs[0].Submit, 2*sim.Day+11*sim.Hour; got != want {
+		t.Errorf("Montage submitted at %d, want %d", got, want)
+	}
+	rep, err := c.RunContext(context.Background(), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rep.Base["DawningCloud"]
 	if len(r.Providers) != 3 {
 		t.Errorf("quick suite providers = %d, want 3", len(r.Providers))
 	}
@@ -356,19 +424,14 @@ func TestQuickSuiteRuns(t *testing.T) {
 	}
 }
 
+// TestSuiteDeterminism: two independent requests with the same seed
+// render identical artifacts.
 func TestSuiteDeterminism(t *testing.T) {
-	a := NewSuite(123)
-	b := NewSuite(123)
-	ra, err := a.Run("DawningCloud")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := b.Run("DawningCloud")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ra.TotalNodeHours != rb.TotalNodeHours || ra.PeakNodes != rb.PeakNodes {
-		t.Errorf("same seed produced different results: %.0f/%d vs %.0f/%d",
-			ra.TotalNodeHours, ra.PeakNodes, rb.TotalNodeHours, rb.PeakNodes)
+	a := render(t, 123, 14, 0, "table2", "fig12")
+	b := render(t, 123, 14, 0, "table2", "fig12")
+	for i := range a {
+		if a[i].Text != b[i].Text {
+			t.Errorf("same seed rendered different %s:\n%s\nvs\n%s", a[i].ID, a[i].Text, b[i].Text)
+		}
 	}
 }

@@ -4,18 +4,29 @@ import (
 	"context"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/events"
+	"repro/internal/scenario"
+	"repro/internal/systems"
 )
 
-// Extensions run on the quick suite: a 4-day window keeps the scale study
-// fast while preserving the consolidation dynamics.
-var extSuite = NewQuickSuite(42)
+// Extensions run on a 4-day window: it keeps the scale study fast while
+// preserving the consolidation dynamics.
+const extDays = 4
 
-func TestScaleStudySavingsPersist(t *testing.T) {
-	points, err := extSuite.ScaleStudy(context.Background(), 3)
-	if err != nil {
-		t.Fatalf("ScaleStudy: %v", err)
-	}
+// scaleReport runs the ext-scale study consolidating up to n providers.
+func scaleReport(t *testing.T, n, workers int) *scenario.Report {
+	t.Helper()
+	spec := studySpec(t, "ext-scale", 42, extDays)
+	spec.Providers[0].Count = n
+	rep, _ := runSpec(t, spec, workers)
+	return rep
+}
+
+func TestExtScaleSavingsPersist(t *testing.T) {
+	points := scaleReport(t, 3, 0).Scale
 	if len(points) != 3 {
 		t.Fatalf("points = %d, want 3", len(points))
 	}
@@ -33,17 +44,16 @@ func TestScaleStudySavingsPersist(t *testing.T) {
 	}
 }
 
-func TestScaleStudyValidation(t *testing.T) {
-	if _, err := extSuite.ScaleStudy(context.Background(), 0); err == nil {
+func TestExtScaleValidation(t *testing.T) {
+	spec := studySpec(t, "ext-scale", 42, extDays)
+	spec.Providers[0].Count = 0
+	if err := spec.Validate(); err == nil {
 		t.Error("n=0 accepted")
 	}
 }
 
 func TestScaleArtifactRenders(t *testing.T) {
-	a, err := extSuite.ScaleArtifact(context.Background(), 2)
-	if err != nil {
-		t.Fatalf("ScaleArtifact: %v", err)
-	}
+	a := scaleArtifact(scaleReport(t, 2, 0))
 	if a.ID != "ext-scale" || !strings.Contains(a.Text, "providers") {
 		t.Errorf("artifact = %+v", a)
 	}
@@ -56,10 +66,7 @@ func TestScaleArtifactRenders(t *testing.T) {
 }
 
 func TestAblationBackfill(t *testing.T) {
-	a, err := extSuite.AblationBackfill(context.Background(), NASAProvider)
-	if err != nil {
-		t.Fatalf("AblationBackfill: %v", err)
-	}
+	a := render(t, 42, extDays, 0, "ext-backfill")[0]
 	ffDone := a.Values["firstfit_completed"]
 	easyDone := a.Values["easy_completed"]
 	if ffDone == 0 || easyDone == 0 {
@@ -74,31 +81,23 @@ func TestAblationBackfill(t *testing.T) {
 	}
 }
 
+// TestAblationBackfillUnknownProvider: an arm whose run lacks the NASA
+// provider fails the render instead of printing zeros.
 func TestAblationBackfillUnknownProvider(t *testing.T) {
-	if _, err := extSuite.AblationBackfill(context.Background(), "ghost"); err == nil {
-		t.Error("unknown provider accepted")
+	ff := &scenario.Report{Base: map[string]systems.Result{"DawningCloud": {}}}
+	if _, err := backfillArtifact(ff, systems.Result{}); err == nil {
+		t.Error("missing provider accepted")
 	}
 }
 
-// TestScaleStudySingleProviderEdge covers the sweep's smallest grid —
-// ScaleStudy(1) runs exactly one consolidation point — and pins its
-// determinism: a Workers > 1 suite must reproduce the serial suite's
-// numbers bit for bit (run under -race in CI, this also exercises the
-// pair fan-out's synchronization).
-func TestScaleStudySingleProviderEdge(t *testing.T) {
-	serial := NewQuickSuite(42)
-	serial.Workers = 1
-	parallel := NewQuickSuite(42)
-	parallel.Workers = 4
-
-	sp, err := serial.ScaleStudy(context.Background(), 1)
-	if err != nil {
-		t.Fatalf("serial ScaleStudy(1): %v", err)
-	}
-	pp, err := parallel.ScaleStudy(context.Background(), 1)
-	if err != nil {
-		t.Fatalf("parallel ScaleStudy(1): %v", err)
-	}
+// TestExtScaleSingleProviderEdge covers the sweep's smallest grid —
+// one provider, so exactly one consolidation point from the base cells
+// alone — and pins its determinism: four workers must reproduce the
+// serial numbers bit for bit (run under -race in CI, this also exercises
+// the cell fan-out's synchronization).
+func TestExtScaleSingleProviderEdge(t *testing.T) {
+	sp := scaleReport(t, 1, 1).Scale
+	pp := scaleReport(t, 1, 4).Scale
 	if len(sp) != 1 || len(pp) != 1 {
 		t.Fatalf("points = %d/%d, want 1/1", len(sp), len(pp))
 	}
@@ -106,46 +105,48 @@ func TestScaleStudySingleProviderEdge(t *testing.T) {
 		t.Errorf("point providers = %d, want 1", sp[0].Providers)
 	}
 	if !reflect.DeepEqual(sp, pp) {
-		t.Errorf("Workers=4 diverged from serial:\n serial   %+v\n parallel %+v", sp[0], pp[0])
+		t.Errorf("workers=4 diverged from serial:\n serial   %+v\n parallel %+v", sp[0], pp[0])
 	}
 }
 
 // TestAblationProvisionTwoPointDeterminism runs the ablation's two
-// simulations (grant-or-reject vs best-effort) on serial and Workers > 1
-// suites and requires identical artifact values regardless of which of
-// the pair finishes first.
+// simulations (grant-or-reject vs best-effort) at one and four workers
+// and requires identical artifact values, and exactly one simulation per
+// policy.
 func TestAblationProvisionTwoPointDeterminism(t *testing.T) {
-	serial := NewQuickSuite(42)
-	serial.Workers = 1
-	parallel := NewQuickSuite(42)
-	parallel.Workers = 4
-
-	sa, err := serial.AblationProvision(context.Background(), NASAProvider, 160)
-	if err != nil {
-		t.Fatalf("serial AblationProvision: %v", err)
+	run := func(workers int) (Artifact, int) {
+		p, err := NewPlan(42, extDays, []string{"ext-provision"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var started atomic.Int64
+		arts, err := p.Run(context.Background(), workers, func(ev events.Event) {
+			if _, ok := ev.(events.RunStarted); ok {
+				started.Add(1)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return arts[0], int(started.Load())
 	}
-	pa, err := parallel.AblationProvision(context.Background(), NASAProvider, 160)
-	if err != nil {
-		t.Fatalf("parallel AblationProvision: %v", err)
-	}
+	sa, _ := run(1)
+	pa, sims := run(4)
 	if !reflect.DeepEqual(sa.Values, pa.Values) {
-		t.Errorf("Workers=4 diverged from serial:\n serial   %v\n parallel %v", sa.Values, pa.Values)
+		t.Errorf("workers=4 diverged from serial:\n serial   %v\n parallel %v", sa.Values, pa.Values)
 	}
 	if sa.Text != pa.Text {
 		t.Error("rendered ablation tables differ between worker counts")
 	}
-	if got := parallel.Simulations(); got != 2 {
-		t.Errorf("parallel suite ran %d simulations, want exactly 2", got)
+	if sims != 2 {
+		t.Errorf("ran %d simulations, want exactly 2", sims)
 	}
 }
 
 func TestAblationProvisionConstrainedPool(t *testing.T) {
 	// 160 nodes: B=40 fits but large DR requests are rejected outright
 	// under grant-or-reject while best-effort takes partial grants.
-	a, err := extSuite.AblationProvision(context.Background(), NASAProvider, 160)
-	if err != nil {
-		t.Fatalf("AblationProvision: %v", err)
-	}
+	a := render(t, 42, extDays, 0, "ext-provision")[0]
 	if a.Values["strict_rejected"] == 0 {
 		t.Error("strict policy recorded no rejections on a 160-node pool")
 	}

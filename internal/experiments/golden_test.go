@@ -2,102 +2,81 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
-// TestPaperTablesGoldenBytes is the scheduling stack's byte-level
-// regression pin: the rendered Tables 2-4 must match
-// testdata/table{2,3,4}.golden exactly. The golden files were captured
-// under the original container/heap kernel before the indexed fast-path
-// kernel (and the allocation-free scheduling rework in internal/sched and
-// internal/tre) replaced it, so byte-identical output here proves the new
-// kernel and schedulers replay the paper evaluation event-for-event.
+// golden reads testdata/<name>, failing the test when it is missing.
+func golden(t *testing.T, name string) string {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(want)
+}
+
+// TestPaperTablesGoldenBytes is the evaluation's byte-level regression
+// pin: every artifact in ArtifactIDs() at seed 42 over the paper's
+// two-week window must match testdata/<id>.golden (its text) and
+// testdata/<id>.svg.golden (its chart, where it has one) exactly. The
+// goldens were captured from the experiment suite that preceded the
+// scenario-report renderers, and Tables 2-4 date back further, to the
+// original container/heap kernel; byte-identical output here proves the
+// renderers, the scenario engine and the kernel replay the paper
+// evaluation event-for-event.
 //
-// The suite runs with Workers = 4 — more than one worker on every CI
-// machine — and the full test job runs under -race, so this also pins
-// that parallel table regeneration is deterministic and race-free.
+// The request renders at one and at four workers (the full test job
+// runs under -race), so worker scheduling must not leak into artifact
+// content. The partitioned cases render Tables 2-4 from paper-baseline
+// with each simulation's providers split onto 2 and 4 kernel partitions
+// (4 exceeds the three providers, pinning the clamp path) against the
+// same serial-kernel goldens.
 func TestPaperTablesGoldenBytes(t *testing.T) {
-	suite := NewSuite(42)
-	suite.Workers = 4
-	for _, tb := range []struct {
-		id string
-		fn func(context.Context) (Artifact, error)
-	}{
-		{"table2", suite.Table2},
-		{"table3", suite.Table3},
-		{"table4", suite.Table4},
-	} {
-		a, err := tb.fn(context.Background())
-		if err != nil {
-			t.Fatalf("%s: %v", tb.id, err)
+	check := func(t *testing.T, a Artifact) {
+		if want := golden(t, a.ID+".golden"); a.Text != want {
+			t.Errorf("%s drifted from its golden:\n got:\n%s\nwant:\n%s", a.ID, a.Text, want)
 		}
-		path := filepath.Join("testdata", tb.id+".golden")
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v", tb.id, err)
+		if a.SVG == "" {
+			return
 		}
-		if a.Text != string(want) {
-			t.Errorf("%s drifted from the reference-kernel golden %s:\n got:\n%s\nwant:\n%s",
-				tb.id, path, a.Text, want)
+		if want := golden(t, a.ID+".svg.golden"); a.SVG != want {
+			t.Errorf("%s SVG drifted from its golden", a.ID)
 		}
 	}
-}
-
-// TestPaperTablesGoldenBytesPartitioned re-renders Tables 2-4 with each
-// simulation's providers split onto per-core kernel partitions and
-// requires byte-identical output against the same serial-kernel golden
-// files: intra-run partitioning must be invisible in every published
-// number. P=4 exceeds the paper evaluation's three providers, so this
-// also pins the clamp-to-workload-count path.
-func TestPaperTablesGoldenBytesPartitioned(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			arts := render(t, 42, 14, workers, ArtifactIDs()...)
+			if len(arts) != len(ArtifactIDs()) {
+				t.Fatalf("artifacts = %d, want %d", len(arts), len(ArtifactIDs()))
+			}
+			for _, a := range arts {
+				check(t, a)
+			}
+		})
+	}
 	for _, p := range []int{2, 4} {
-		suite := NewSuite(42)
-		suite.Workers = 2
-		suite.Partitions = p
-		for _, tb := range []struct {
-			id string
-			fn func(context.Context) (Artifact, error)
-		}{
-			{"table2", suite.Table2},
-			{"table3", suite.Table3},
-			{"table4", suite.Table4},
-		} {
-			a, err := tb.fn(context.Background())
+		t.Run(fmt.Sprintf("partitions=%d", p), func(t *testing.T) {
+			spec, err := scenario.Builtin("paper-baseline")
 			if err != nil {
-				t.Fatalf("P=%d %s: %v", p, tb.id, err)
+				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", tb.id+".golden")
-			want, err := os.ReadFile(path)
+			spec.Partitions = p
+			rep, err := scenario.RunContext(context.Background(), spec, 2, nil)
 			if err != nil {
-				t.Fatalf("%s: %v", tb.id, err)
+				t.Fatal(err)
 			}
-			if a.Text != string(want) {
-				t.Errorf("P=%d: %s drifted from the serial-kernel golden %s:\n got:\n%s\nwant:\n%s",
-					p, tb.id, path, a.Text, want)
+			for _, tb := range []tableSpec{table2, table3, table4} {
+				a, err := providerTable(rep, tb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, a)
 			}
-		}
-	}
-}
-
-// TestPaperTablesGoldenBytesAnyWorkerCount re-renders one table at three
-// worker counts and requires identical bytes: worker scheduling must not
-// leak into artifact content.
-func TestPaperTablesGoldenBytesAnyWorkerCount(t *testing.T) {
-	render := func(workers int) string {
-		suite := NewSuite(42)
-		suite.Workers = workers
-		a, err := suite.Table2(context.Background())
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return a.Text
-	}
-	serial := render(1)
-	for _, w := range []int{2, 8} {
-		if got := render(w); got != serial {
-			t.Errorf("table2 differs between workers=1 and workers=%d", w)
-		}
+		})
 	}
 }

@@ -2,126 +2,64 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/job"
+	"repro/internal/scenario"
 	"repro/internal/systems"
 )
 
-// TestRunAllConcurrentCallers hammers one suite from many goroutines
-// under -race: every caller must observe identical results, and the
-// singleflight dedup must collapse the work to exactly one simulation
-// per system.
-func TestRunAllConcurrentCallers(t *testing.T) {
-	s := NewQuickSuite(42)
-	const callers = 8
-	results := make([]map[string]systems.Result, callers)
-	errs := make([]error, callers)
+// TestSweepConcurrentCallers renders an HTC and an MTC sweep figure from
+// concurrent goroutines, the -race check for the grid fan-out, and pins
+// the plotted metric per class: completed jobs for HTC (whose tasks/second
+// stays 0), tasks/second for MTC.
+func TestSweepConcurrentCallers(t *testing.T) {
 	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
+	arts := make([][]Artifact, 2)
+	errs := make([]error, 2)
+	for i, id := range []string{"fig10", "fig11"} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i], errs[i] = s.RunAll()
+			arts[i], errs[i] = runPlan(42, 4, 0, id)
 		}()
 	}
 	wg.Wait()
-	for i := 0; i < callers; i++ {
-		if errs[i] != nil {
-			t.Fatalf("caller %d: %v", i, errs[i])
-		}
-		if !reflect.DeepEqual(results[i], results[0]) {
-			t.Errorf("caller %d saw different results", i)
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
-	if got := s.Simulations(); got != int64(len(SystemNames)) {
-		t.Errorf("simulations = %d, want %d (one per system, dedup collapsing the rest)",
-			got, len(SystemNames))
-	}
-}
-
-// TestSweepConcurrentCallers runs two different sweeps from concurrent
-// goroutines over one suite, the -race check for the grid fan-out.
-func TestSweepConcurrentCallers(t *testing.T) {
-	s := NewQuickSuite(42)
-	var wg sync.WaitGroup
-	var mtc, htc []SweepPoint
-	var mtcErr, htcErr error
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		mtc, mtcErr = s.Sweep(MontageProvider, []int{10, 80}, []float64{8})
-	}()
-	go func() {
-		defer wg.Done()
-		htc, htcErr = s.Sweep(NASAProvider, []int{20, 40}, []float64{1.2})
-	}()
-	wg.Wait()
-	if mtcErr != nil || htcErr != nil {
-		t.Fatalf("sweeps failed: %v / %v", mtcErr, htcErr)
-	}
-	if len(mtc) != 2 || len(htc) != 2 {
-		t.Fatalf("points = %d/%d, want 2/2", len(mtc), len(htc))
-	}
-	for _, p := range htc {
-		if p.TasksPerSecond != 0 {
-			t.Errorf("HTC point B%d reports tasks/second %.2f, want 0", p.B, p.TasksPerSecond)
+	htc, mtc := arts[0][0], arts[1][0]
+	for _, b := range sweepInitials {
+		for _, r := range sweepRatiosHTC {
+			key := fmt.Sprintf("B%d_R%g", b, r)
+			if tps := htc.Values["tps_"+key]; tps != 0 {
+				t.Errorf("HTC point %s reports tasks/second %.2f, want 0", key, tps)
+			}
+			if perf, done := htc.Values["perf_"+key], htc.Values["completed_"+key]; perf != done || done == 0 {
+				t.Errorf("HTC point %s plots %.2f, want completed jobs %.0f", key, perf, done)
+			}
 		}
-		if p.Perf != float64(p.Completed) {
-			t.Errorf("HTC point B%d plots %.2f, want completed jobs %d", p.B, p.Perf, p.Completed)
-		}
-	}
-	for _, p := range mtc {
-		if p.Perf != p.TasksPerSecond {
-			t.Errorf("MTC point B%d plots %.2f, want tasks/second %.2f", p.B, p.Perf, p.TasksPerSecond)
+		for _, r := range sweepRatiosMTC {
+			key := fmt.Sprintf("B%d_R%g", b, r)
+			if perf, tps := mtc.Values["perf_"+key], mtc.Values["tps_"+key]; perf != tps || tps == 0 {
+				t.Errorf("MTC point %s plots %.2f, want tasks/second %.2f", key, perf, tps)
+			}
 		}
 	}
 }
 
-// TestParallelMatchesSerial is the determinism contract: a parallel suite
-// must produce bit-identical Results, SweepPoints and artifact Values to
-// the workers=1 reference on the same seed.
+// TestParallelMatchesSerial is the determinism contract: a parallel
+// request must produce bit-identical artifact Values and text to the
+// workers=1 reference on the same seed.
 func TestParallelMatchesSerial(t *testing.T) {
-	serial := NewQuickSuite(7)
-	serial.Workers = 1
-	parallel := NewQuickSuite(7)
-	parallel.Workers = runtime.NumCPU()
-
-	sr, err := serial.RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := parallel.RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sr, pr) {
-		t.Errorf("RunAll diverged:\nserial:   %+v\nparallel: %+v", sr, pr)
-	}
-
-	sp, err := serial.Sweep(MontageProvider, SweepInitials, SweepRatiosMTC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp, err := parallel.Sweep(MontageProvider, SweepInitials, SweepRatiosMTC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sp, pp) {
-		t.Errorf("Sweep diverged:\nserial:   %+v\nparallel: %+v", sp, pp)
-	}
-
-	sa, err := serial.Artifacts()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pa, err := parallel.Artifacts()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sa := render(t, 7, 4, 1, "all", "extensions")
+	pa := render(t, 7, 4, runtime.NumCPU(), "all", "extensions")
 	if len(sa) != len(pa) {
 		t.Fatalf("artifact counts diverged: %d vs %d", len(sa), len(pa))
 	}
@@ -139,32 +77,25 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSweepDoesNotMutateBase asserts the deep-copy fix: retuning grid
-// points must never write through to the suite's cached workloads.
+// TestSweepDoesNotMutateBase: retuning grid points must never write
+// through to the compiled workloads the grid cells clone.
 func TestSweepDoesNotMutateBase(t *testing.T) {
-	s := NewQuickSuite(42)
-	before, err := s.Workloads()
+	spec := studySpec(t, "fig11", 42, 4)
+	spec.Sweep.Grid.B, spec.Sweep.Grid.R = []int{77}, []float64{3}
+	c, err := scenario.Compile(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var montage systems.Workload
-	for _, wl := range before {
-		if wl.Name == MontageProvider {
-			montage = wl.Clone()
-		}
-	}
-	if _, err := s.Sweep(MontageProvider, []int{77}, []float64{3}); err != nil {
+	montage := c.Workloads[2].Clone()
+	if _, err := c.RunContext(context.Background(), 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	after, err := s.workloadByName(MontageProvider)
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := c.Workloads[2]
 	if after.Params != montage.Params {
-		t.Errorf("sweep mutated cached params: %+v -> %+v", montage.Params, after.Params)
+		t.Errorf("sweep mutated compiled params: %+v -> %+v", montage.Params, after.Params)
 	}
 	if !reflect.DeepEqual(after.Jobs, montage.Jobs) {
-		t.Error("sweep mutated cached jobs")
+		t.Error("sweep mutated compiled jobs")
 	}
 }
 
@@ -195,37 +126,39 @@ func TestWorkloadCloneIsolation(t *testing.T) {
 	}
 }
 
-// TestArtifactsConcurrentWithExtensions drives the full artifact set and
-// the extension studies from concurrent goroutines, the widest -race
-// surface the suite exposes.
+// TestArtifactsConcurrentWithExtensions runs one shared plan for the full
+// artifact set from two goroutines alongside the extension studies, the
+// widest -race surface the front end exposes: a plan is read-only once
+// built, so a run's retries may execute it again.
 func TestArtifactsConcurrentWithExtensions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full artifact set")
 	}
-	s := NewQuickSuite(42)
+	all, err := NewPlan(42, 4, []string{"all"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := NewPlan(42, 4, []string{"extensions"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([][]Artifact, 3)
+	errs := make([]error, 3)
 	var wg sync.WaitGroup
-	errCh := make(chan error, 3)
-	wg.Add(3)
-	go func() {
-		defer wg.Done()
-		_, err := s.Artifacts()
-		errCh <- err
-	}()
-	go func() {
-		defer wg.Done()
-		_, err := s.AblationBackfill(context.Background(), NASAProvider)
-		errCh <- err
-	}()
-	go func() {
-		defer wg.Done()
-		_, err := s.ScaleStudy(context.Background(), 2)
-		errCh <- err
-	}()
+	for i, p := range []*Plan{all, all, ext} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = p.Run(context.Background(), 0, nil)
+		}()
+	}
 	wg.Wait()
-	close(errCh)
-	for err := range errCh {
+	for _, err := range errs {
 		if err != nil {
-			t.Error(err)
+			t.Fatal(err)
 		}
+	}
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Error("concurrent runs of one plan rendered different artifacts")
 	}
 }

@@ -1,67 +1,54 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/cost"
-	"repro/internal/events"
 	"repro/internal/plot"
+	"repro/internal/scenario"
 	"repro/internal/systems"
 )
 
 // tableSpec drives the shared service-provider table construction.
 type tableSpec struct {
-	id         string
-	title      string
-	provider   string
-	mtc        bool // use tasks/second instead of completed jobs
-	paperRef   string
-	paperSaved map[string]float64 // system -> paper's saved-vs-DCS fraction
+	id       string
+	title    string
+	provider string
+	mtc      bool // use tasks/second instead of completed jobs
+	paperRef string
 }
 
-// Table2 reproduces the NASA-trace service-provider metrics.
-func (s *Suite) Table2(ctx context.Context) (Artifact, error) {
-	return s.providerTable(ctx, tableSpec{
+// The service-provider tables (Tables 2-4), one per paper-baseline
+// provider.
+var (
+	table2 = tableSpec{
 		id:       "table2",
 		title:    "Table 2: metrics of the service providers for NASA trace",
 		provider: NASAProvider,
 		paperRef: "paper: completed 2603 for all systems; node-hours DCS/SSP 43008, " +
 			"DRP 54118 (-25.8%), DawningCloud 29014 (+32.5%)",
-		paperSaved: map[string]float64{"SSP": 0, "DRP": -0.258, "DawningCloud": 0.325},
-	})
-}
-
-// Table3 reproduces the BLUE-trace service-provider metrics.
-func (s *Suite) Table3(ctx context.Context) (Artifact, error) {
-	return s.providerTable(ctx, tableSpec{
+	}
+	table3 = tableSpec{
 		id:       "table3",
 		title:    "Table 3: metrics of the service provider for BLUE trace",
 		provider: BLUEProvider,
 		paperRef: "paper: completed 2649/2649/2657/2653; node-hours DCS/SSP 48384, " +
 			"DRP 35838 (+25.9%), DawningCloud 35201 (+27.2%)",
-		paperSaved: map[string]float64{"SSP": 0, "DRP": 0.259, "DawningCloud": 0.272},
-	})
-}
-
-// Table4 reproduces the Montage service-provider metrics.
-func (s *Suite) Table4(ctx context.Context) (Artifact, error) {
-	return s.providerTable(ctx, tableSpec{
+	}
+	table4 = tableSpec{
 		id:       "table4",
 		title:    "Table 4: metrics of the service provider for Montage",
 		provider: MontageProvider,
 		mtc:      true,
 		paperRef: "paper: tasks/s 2.49/2.49/2.71/2.49; node-hours DCS/SSP 166, " +
 			"DRP 662 (-298.8%), DawningCloud 166 (0%)",
-		paperSaved: map[string]float64{"SSP": 0, "DRP": -2.988, "DawningCloud": 0},
-	})
-}
-
-func (s *Suite) providerTable(ctx context.Context, spec tableSpec) (Artifact, error) {
-	results, err := s.RunAllContext(ctx)
-	if err != nil {
-		return Artifact{}, err
 	}
+)
+
+// providerTable renders one provider's per-system metrics from the
+// paper-baseline report.
+func providerTable(rep *scenario.Report, spec tableSpec) (Artifact, error) {
+	results := rep.Base
 	dcs, ok := results["DCS"].Provider(spec.provider)
 	if !ok {
 		return Artifact{}, fmt.Errorf("experiments: provider %s missing from DCS run", spec.provider)
@@ -73,7 +60,7 @@ func (s *Suite) providerTable(ctx context.Context, spec tableSpec) (Artifact, er
 	columns := []string{"configuration", perfHeader, "resource consumption", "saved resources"}
 	values := make(map[string]float64)
 	var rows [][]string
-	for _, system := range SystemNames {
+	for _, system := range scenario.SystemNames {
 		p, ok := results[system].Provider(spec.provider)
 		if !ok {
 			return Artifact{}, fmt.Errorf("experiments: provider %s missing from %s run", spec.provider, system)
@@ -97,20 +84,13 @@ func (s *Suite) providerTable(ctx context.Context, spec tableSpec) (Artifact, er
 	}
 	text := plot.Table(spec.title, columns, rows,
 		"resource consumption in node*hour; saved resources relative to the DCS system")
-	return s.emitTable(Artifact{
+	return Artifact{
 		ID:       spec.id,
 		Title:    spec.title,
 		Text:     text,
 		PaperRef: spec.paperRef,
 		Values:   values,
-	}), nil
-}
-
-// emitTable publishes a TableRendered event for a finished artifact and
-// returns it unchanged.
-func (s *Suite) emitTable(a Artifact) Artifact {
-	s.Events.Emit(events.TableRendered{ID: a.ID, Title: a.Title})
-	return a
+	}, nil
 }
 
 // TCO reproduces Section 4.5.5: monthly total cost of ownership of a
@@ -145,65 +125,54 @@ func TCO() (Artifact, error) {
 }
 
 // totalsFigure renders one resource-provider bar chart over the four
-// systems from a per-result metric.
-func (s *Suite) totalsFigure(ctx context.Context, id, title, unit, paperRef string, metric func(systems.Result) float64) (Artifact, error) {
-	results, err := s.RunAllContext(ctx)
-	if err != nil {
-		return Artifact{}, err
-	}
-	bars := make([]plot.Bar, 0, len(SystemNames))
+// systems of the paper-baseline report from a per-result metric.
+func totalsFigure(rep *scenario.Report, id, title, unit, paperRef string, metric func(systems.Result) float64) Artifact {
+	bars := make([]plot.Bar, 0, len(scenario.SystemNames))
 	values := make(map[string]float64)
-	for _, system := range SystemNames {
-		v := metric(results[system])
+	for _, system := range scenario.SystemNames {
+		v := metric(rep.Base[system])
 		bars = append(bars, plot.Bar{Label: system, Value: v})
 		values[system] = v
 	}
-	return s.emitTable(Artifact{
+	return Artifact{
 		ID:       id,
 		Title:    title,
 		Text:     plot.BarChart(title, unit, bars, 48),
 		SVG:      plot.BarChartSVG(title, unit, bars),
 		PaperRef: paperRef,
 		Values:   values,
-	}), nil
+	}
 }
 
-// Figure12 reproduces the resource provider's total resource consumption.
-func (s *Suite) Figure12(ctx context.Context) (Artifact, error) {
-	return s.totalsFigure(ctx, "fig12",
+// figure12 reproduces the resource provider's total resource consumption.
+func figure12(rep *scenario.Report) Artifact {
+	return totalsFigure(rep, "fig12",
 		"Figure 12: total resource consumption of the resource provider",
 		"node*hour",
 		"paper: DawningCloud saves 29.7% of the DCS/SSP total and 29.0% of the DRP total",
 		func(r systems.Result) float64 { return r.TotalNodeHours })
 }
 
-// Figure13 reproduces the resource provider's peak resource consumption.
-func (s *Suite) Figure13(ctx context.Context) (Artifact, error) {
-	return s.totalsFigure(ctx, "fig13",
+// figure13 reproduces the resource provider's peak resource consumption.
+func figure13(rep *scenario.Report) Artifact {
+	return totalsFigure(rep, "fig13",
 		"Figure 13: peak resource consumption of the resource provider",
 		"nodes/hour",
 		"paper: DawningCloud peak = 1.06x DCS/SSP peak and 0.21x DRP peak",
 		func(r systems.Result) float64 { return float64(r.PeakNodes) })
 }
 
-// Figure14 reproduces the accumulated node-adjustment counts (management
+// figure14 reproduces the accumulated node-adjustment counts (management
 // overhead).
-func (s *Suite) Figure14(ctx context.Context) (Artifact, error) {
-	art, err := s.totalsFigure(ctx, "fig14",
+func figure14(rep *scenario.Report) Artifact {
+	art := totalsFigure(rep, "fig14",
 		"Figure 14: accumulated times of adjusting nodes",
 		"nodes adjusted",
 		"paper: SSP lowest; DawningCloud below DRP; DawningCloud overhead ~341 s/hour at 15.743 s per node",
 		func(r systems.Result) float64 { return float64(r.TotalNodesAdjusted) })
-	if err != nil {
-		return Artifact{}, err
-	}
-	results, err := s.RunAllContext(ctx)
-	if err != nil {
-		return Artifact{}, err
-	}
-	dc := results["DawningCloud"]
+	dc := rep.Base["DawningCloud"]
 	art.Text += fmt.Sprintf("DawningCloud management overhead: %.0f s total, %.1f s/hour\n",
 		dc.OverheadSeconds, dc.OverheadPerHour)
 	art.Values["dawningcloud_overhead_per_hour"] = dc.OverheadPerHour
-	return art, nil
+	return art
 }

@@ -56,10 +56,6 @@ func TestCtxFirstFixtures(t *testing.T) {
 	runFixture(t, []*Analyzer{CtxFirst}, "ctxfirst/a", "ctxfirst/mainpkg")
 }
 
-func TestDeprecatedFixtures(t *testing.T) {
-	runFixture(t, []*Analyzer{Deprecated}, "deprecated/a")
-}
-
 func TestSuppressionDirective(t *testing.T) {
 	// Valid directives silence findings in both placements...
 	runFixture(t, []*Analyzer{Detrand}, "suppress/ok")
@@ -156,7 +152,6 @@ func TestFixturesAreDirty(t *testing.T) {
 		{Detrand, "internal/stream", 2},
 		{Mapiter, "mapiter/a", 4},
 		{CtxFirst, "ctxfirst/a", 5},
-		{Deprecated, "deprecated/a", 4},
 	}
 	for _, tc := range cases {
 		pkgs := loadFixturePkgs(t, tc.fixture)

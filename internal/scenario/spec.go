@@ -25,7 +25,6 @@ import (
 	"strings"
 
 	"repro/internal/clustersim"
-	"repro/internal/experiments"
 	"repro/internal/registry"
 	"repro/internal/sim"
 
@@ -38,12 +37,17 @@ import (
 // name any system registered in registry.Default at validation time, and
 // validation errors list exactly those.
 var (
+	// SystemNames lists the four systems the paper compares, in
+	// presentation order. The registry may hold more (registered
+	// extensions such as ssp-spot); the paper's tables and figures only
+	// ever run these four.
+	SystemNames = []string{"DCS", "SSP", "DRP", "DawningCloud"}
 	// DefaultSystems is the system set a spec without a "systems" field
 	// compares: the paper's four, in presentation order. Registered
 	// extensions must be asked for explicitly so existing specs (and the
 	// paper-baseline golden numbers) never change when a new system
 	// links in.
-	DefaultSystems = append([]string(nil), experiments.SystemNames...)
+	DefaultSystems = append([]string(nil), SystemNames...)
 	// KnownSourceKinds lists the workload source kinds.
 	KnownSourceKinds = []string{"synth", "swf", "workflow", "live"}
 	// KnownSynthModels lists the synthetic HTC models: the two

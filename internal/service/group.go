@@ -19,8 +19,7 @@ import (
 )
 
 // Group deduplicates concurrent identical work and caches successful
-// results by key. It generalizes the singleflight logic that used to be
-// private to experiments.Suite and the scenario engine:
+// results by key; the scenario engine's per-run cell cache builds on it:
 //
 //   - a successful result is cached forever (the simulations here are
 //     deterministic, so a key fully identifies its result);
