@@ -17,10 +17,10 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/nodepool"
 	"repro/internal/csf"
 	"repro/internal/job"
 	"repro/internal/metrics"
+	"repro/internal/nodepool"
 	"repro/internal/policy"
 	"repro/internal/sched"
 )
@@ -99,7 +99,13 @@ func Run(cfg Config) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	acct := metrics.NewAccountant(clock.Now)
+	// Leases bill inside the accounting window only, as in the
+	// simulator: the accountant's clock stops at the horizon.
+	now := clock.Now
+	if cfg.Horizon > 0 {
+		now = func() int64 { return min(clock.Now(), cfg.Horizon) }
+	}
+	acct := metrics.NewAccountant(now)
 	prov := csf.NewProvisionService(pool, acct, policy.GrantOrReject, csf.DefaultNodeSetupSeconds)
 
 	jobs := make([]job.Job, len(cfg.Jobs))
@@ -114,6 +120,10 @@ func Run(cfg Config) (Report, error) {
 
 	arrivals := make(chan *job.Job)
 	completions := make(chan *job.Job)
+	idleChecks := make(chan int) // dynamic block sizes due a check
+	// stop releases timers still due when the server loop returns.
+	stop := make(chan struct{})
+	defer close(stop)
 	// Job emulator: replay the trace on the accelerated clock.
 	go func() {
 		for i := range jobs {
@@ -121,15 +131,17 @@ func Run(cfg Config) (Report, error) {
 			if wait := clock.wall(j.Submit-start) - time.Since(clock.start); wait > 0 {
 				time.Sleep(wait)
 			}
-			arrivals <- j
+			select {
+			case arrivals <- j:
+			case <-stop:
+				return
+			}
 		}
 		close(arrivals)
 	}()
 
 	scanTicker := time.NewTicker(clock.wall(cfg.Params.ScanInterval))
 	defer scanTicker.Stop()
-	idleTicker := time.NewTicker(clock.wall(cfg.Params.IdleCheckInterval))
-	defer idleTicker.Stop()
 	var deadline <-chan time.Time
 	if cfg.Horizon > 0 {
 		deadline = time.After(clock.wall(cfg.Horizon))
@@ -142,7 +154,6 @@ func Run(cfg Config) (Report, error) {
 	completed := 0
 	submitted := 0
 	peak := 0
-	var grants []int // outstanding dynamic block sizes
 	scheduler := sched.FirstFit{}
 
 	dispatch := func() {
@@ -156,11 +167,26 @@ func Run(cfg Config) (Report, error) {
 		for _, idx := range picked {
 			j := snapshot[idx]
 			busy += j.Nodes
-			time.AfterFunc(clock.wall(j.Runtime), func() { completions <- j })
+			time.AfterFunc(clock.wall(j.Runtime), func() {
+				select {
+				case completions <- j:
+				case <-stop:
+				}
+			})
 		}
 		if owned > peak {
 			peak = owned
 		}
+	}
+	// armIdleCheck starts the hourly idle-release timer of one dynamic
+	// grant, as the simulator's TRE does (paper Section 3.2.2).
+	armIdleCheck := func(size int) {
+		time.AfterFunc(clock.wall(cfg.Params.IdleCheckInterval), func() {
+			select {
+			case idleChecks <- size:
+			case <-stop:
+			}
+		})
 	}
 	scan := func() {
 		dispatch()
@@ -175,31 +201,30 @@ func Run(cfg Config) (Report, error) {
 		}
 		if granted := prov.RequestDynamic(owner, size); granted > 0 {
 			owned += granted
-			grants = append(grants, granted)
+			armIdleCheck(granted)
 			dispatch()
 		}
 	}
-	releaseIdle := func() error {
-		idle := owned - busy
-		kept := grants[:0]
-		for _, g := range grants {
-			if policy.ReleaseDecision(idle, g) {
-				if err := prov.Release(owner, g); err != nil {
-					return err
-				}
-				owned -= g
-				idle -= g
-				continue
-			}
-			kept = append(kept, g)
+	// releaseIdle releases a block of size nodes once that many sit
+	// idle, and otherwise checks it again an interval later.
+	releaseIdle := func(size int) error {
+		if !policy.ReleaseDecision(owned-busy, size) {
+			armIdleCheck(size)
+			return nil
 		}
-		grants = kept
+		if err := prov.Release(owner, size); err != nil {
+			return err
+		}
+		owned -= size
 		return nil
 	}
 
+	// With a horizon the loop runs to the deadline even once the
+	// workload drains: idle checks keep releasing dynamic blocks inside
+	// the accounting window, as the simulator's do.
 	arrivalsOpen := true
 	for {
-		if !arrivalsOpen && completed == submitted {
+		if cfg.Horizon == 0 && !arrivalsOpen && completed == submitted {
 			break
 		}
 		select {
@@ -218,8 +243,8 @@ func Run(cfg Config) (Report, error) {
 			dispatch()
 		case <-scanTicker.C:
 			scan()
-		case <-idleTicker.C:
-			if err := releaseIdle(); err != nil {
+		case size := <-idleChecks:
+			if err := releaseIdle(size); err != nil {
 				return Report{}, err
 			}
 		case <-deadline:
@@ -230,11 +255,7 @@ done:
 	// The TRE outlives its drained queue: leases (the initial block in
 	// particular) bill through the accounting window, matching the
 	// simulator's horizon semantics.
-	end := clock.Now()
-	if cfg.Horizon > 0 && end < cfg.Horizon {
-		end = cfg.Horizon
-	}
-	acct.CloseAll(end, true)
+	acct.CloseAll(now(), true)
 	return Report{
 		Submitted:     submitted,
 		Completed:     completed,
