@@ -8,8 +8,9 @@
 package job
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Class distinguishes the two workload families the paper consolidates.
@@ -106,21 +107,40 @@ func CloneAll(jobs []Job) []Job {
 	return out
 }
 
-// ValidateAll checks every job in a workload and that IDs are unique.
+// ValidateAll checks every job in a workload, that IDs are unique and
+// that every dependency names a job in the workload. It reports the first
+// problem in slice order: a job's own Validate error, then a repeated ID,
+// then, once all jobs pass, the first dangling dependency.
+//
+// IDs are checked against a sorted copy of (ID, index) keys rather than a
+// set, so the check makes one allocation. On the ascending IDs every
+// generated workload has, pdqsort finds the keys already sorted in one
+// linear pass.
 func ValidateAll(jobs []Job) error {
-	seen := make(map[int]bool, len(jobs))
+	keys := make([]idKey, len(jobs))
+	for i := range jobs {
+		keys[i] = idKey{jobs[i].ID, i}
+	}
+	slices.SortFunc(keys, idKey.compare)
+	// The first repeat in slice order is the smallest index that is not
+	// the first of its ID's run in the sorted keys.
+	dupAt := len(jobs)
+	for k := 1; k < len(keys); k++ {
+		if keys[k].id == keys[k-1].id && keys[k].idx < dupAt {
+			dupAt = keys[k].idx
+		}
+	}
 	for i := range jobs {
 		if err := jobs[i].Validate(); err != nil {
 			return err
 		}
-		if seen[jobs[i].ID] {
+		if i == dupAt {
 			return fmt.Errorf("duplicate job ID %d", jobs[i].ID)
 		}
-		seen[jobs[i].ID] = true
 	}
 	for i := range jobs {
 		for _, d := range jobs[i].Deps {
-			if !seen[d] {
+			if _, ok := slices.BinarySearchFunc(keys, d, func(k idKey, id int) int { return cmp.Compare(k.id, id) }); !ok {
 				return fmt.Errorf("job %d: dependency %d not in workload", jobs[i].ID, d)
 			}
 		}
@@ -128,14 +148,60 @@ func ValidateAll(jobs []Job) error {
 	return nil
 }
 
-// SortBySubmit orders jobs by (Submit, ID) in place.
+// idKey locates a job by ID; ordered by (id, idx).
+type idKey struct{ id, idx int }
+
+func (a idKey) compare(b idKey) int {
+	if c := cmp.Compare(a.id, b.id); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
+// SortBySubmit orders jobs by (Submit, ID) in place. It sorts compact
+// (Submit, ID, index) keys and then moves each job once, following the
+// permutation's cycles, instead of swapping whole jobs during the sort.
+//
+// Jobs equal in (Submit, ID) keep the order sort.Slice would give them:
+// slices.SortFunc runs the same pdqsort on the same comparisons. Callers
+// depend on this, because generated workloads number their jobs after
+// sorting, so tie order decides every ID.
 func SortBySubmit(jobs []Job) {
-	sort.Slice(jobs, func(i, k int) bool {
-		if jobs[i].Submit != jobs[k].Submit {
-			return jobs[i].Submit < jobs[k].Submit
+	keys := make([]submitKey, len(jobs))
+	for i := range jobs {
+		keys[i] = submitKey{jobs[i].Submit, jobs[i].ID, i}
+	}
+	slices.SortFunc(keys, func(a, b submitKey) int {
+		if c := cmp.Compare(a.submit, b.submit); c != 0 {
+			return c
 		}
-		return jobs[i].ID < jobs[k].ID
+		return cmp.Compare(a.id, b.id)
 	})
+	// Position p takes the job at keys[p].idx. Walk each cycle once,
+	// marking finished positions with keys[p].idx = p.
+	for p := range keys {
+		if keys[p].idx == p {
+			continue
+		}
+		held := jobs[p]
+		q := p
+		for {
+			src := keys[q].idx
+			keys[q].idx = q
+			if src == p {
+				jobs[q] = held
+				break
+			}
+			jobs[q] = jobs[src]
+			q = src
+		}
+	}
+}
+
+type submitKey struct {
+	submit int64
+	id     int
+	idx    int
 }
 
 // Span reports the [min submit, max completion-if-run-immediately] window

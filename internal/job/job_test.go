@@ -1,6 +1,10 @@
 package job
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -45,21 +49,148 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// validateAllMap is the set-based ValidateAll that the sort-based one
+// replaced; the two must return the same error for every input.
+func validateAllMap(jobs []Job) error {
+	seen := make(map[int]bool, len(jobs))
+	for i := range jobs {
+		if err := jobs[i].Validate(); err != nil {
+			return err
+		}
+		if seen[jobs[i].ID] {
+			return fmt.Errorf("duplicate job ID %d", jobs[i].ID)
+		}
+		seen[jobs[i].ID] = true
+	}
+	for i := range jobs {
+		for _, d := range jobs[i].Deps {
+			if !seen[d] {
+				return fmt.Errorf("job %d: dependency %d not in workload", jobs[i].ID, d)
+			}
+		}
+	}
+	return nil
+}
+
+func errText(err error) string {
+	if err == nil {
+		return "<nil>"
+	}
+	return err.Error()
+}
+
 func TestValidateAll(t *testing.T) {
-	good := []Job{
-		{ID: 1, Nodes: 1, Runtime: 10},
-		{ID: 2, Nodes: 2, Runtime: 20, Deps: []int{1}},
+	tests := []struct {
+		name string
+		jobs []Job
+		want string
+	}{
+		{"empty", nil, "<nil>"},
+		{"good", []Job{
+			{ID: 1, Nodes: 1, Runtime: 10},
+			{ID: 2, Nodes: 2, Runtime: 20, Deps: []int{1}},
+		}, "<nil>"},
+		{"duplicate", []Job{{ID: 1, Nodes: 1}, {ID: 1, Nodes: 1}}, "duplicate job ID 1"},
+		{"dangling", []Job{{ID: 1, Nodes: 1, Deps: []int{99}}}, "job 1: dependency 99 not in workload"},
+		{"sparse IDs", []Job{
+			{ID: 1 << 40, Nodes: 1, Deps: []int{1}},
+			{ID: 1, Nodes: 1},
+		}, "<nil>"},
+		{"extreme IDs", []Job{
+			{ID: math.MaxInt, Nodes: 1, Deps: []int{math.MinInt}},
+			{ID: math.MinInt, Nodes: 1, Deps: []int{math.MaxInt}},
+			{ID: 0, Nodes: 1},
+		}, "<nil>"},
+		{"negative IDs", []Job{
+			{ID: -3, Nodes: 1},
+			{ID: -7, Nodes: 1, Deps: []int{-3}},
+			{ID: -3, Nodes: 1},
+		}, "duplicate job ID -3"},
+		{"duplicate before invalid", []Job{
+			{ID: 5, Nodes: 1},
+			{ID: 5, Nodes: 1},
+			{ID: 6, Nodes: 0},
+		}, "duplicate job ID 5"},
+		{"invalid before duplicate", []Job{
+			{ID: 5, Nodes: 1},
+			{ID: 6, Nodes: 0},
+			{ID: 5, Nodes: 1},
+		}, "job 6: nodes 0 < 1"},
+		{"invalid repeat", []Job{
+			{ID: 5, Nodes: 1},
+			{ID: 5, Nodes: 1, Runtime: -1},
+		}, "job 5: negative runtime -1"},
+		{"earliest of two duplicates", []Job{
+			{ID: 2, Nodes: 1},
+			{ID: 9, Nodes: 1},
+			{ID: 9, Nodes: 1},
+			{ID: 2, Nodes: 1},
+		}, "duplicate job ID 9"},
+		{"duplicate before dangling", []Job{
+			{ID: 1, Nodes: 1, Deps: []int{42}},
+			{ID: 1, Nodes: 1},
+		}, "duplicate job ID 1"},
+		{"first dangling in slice order", []Job{
+			{ID: 3, Nodes: 1, Deps: []int{1, 8}},
+			{ID: 1, Nodes: 1, Deps: []int{4}},
+		}, "job 3: dependency 8 not in workload"},
+		{"dangling between IDs", []Job{
+			{ID: 10, Nodes: 1},
+			{ID: 30, Nodes: 1, Deps: []int{10, 20}},
+		}, "job 30: dependency 20 not in workload"},
 	}
-	if err := ValidateAll(good); err != nil {
-		t.Errorf("ValidateAll(good) = %v, want nil", err)
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if got := errText(ValidateAll(tt.jobs)); got != tt.want {
+				t.Errorf("ValidateAll = %s, want %s", got, tt.want)
+			}
+			if ref := errText(validateAllMap(tt.jobs)); ref != tt.want {
+				t.Errorf("reference = %s, want %s", ref, tt.want)
+			}
+		})
 	}
-	dup := []Job{{ID: 1, Nodes: 1}, {ID: 1, Nodes: 1}}
-	if err := ValidateAll(dup); err == nil {
-		t.Error("ValidateAll with duplicate IDs succeeded")
+}
+
+// Property: on small random workloads with colliding IDs, invalid jobs
+// and dangling dependencies, ValidateAll reports exactly what the
+// set-based reference reports.
+func TestPropertyValidateAllMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 5000; trial++ {
+		n := rng.Intn(12)
+		idRange := 1 + rng.Intn(2*n+1)
+		jobs := make([]Job, n)
+		for i := range jobs {
+			j := Job{ID: rng.Intn(idRange) - idRange/3, Nodes: 1}
+			if rng.Intn(20) == 0 {
+				j.Nodes = 0
+			}
+			for d := rng.Intn(3); d > 0; d-- {
+				j.Deps = append(j.Deps, rng.Intn(idRange+2)-idRange/3)
+			}
+			jobs[i] = j
+		}
+		if got, want := errText(ValidateAll(jobs)), errText(validateAllMap(jobs)); got != want {
+			t.Fatalf("trial %d: ValidateAll(%+v) = %s, reference %s", trial, jobs, got, want)
+		}
 	}
-	dangling := []Job{{ID: 1, Nodes: 1, Deps: []int{99}}}
-	if err := ValidateAll(dangling); err == nil {
-		t.Error("ValidateAll with dangling dependency succeeded")
+}
+
+func TestValidateAllAllocs(t *testing.T) {
+	jobs := make([]Job, 10_000)
+	for i := range jobs {
+		jobs[i] = Job{ID: i + 1, Nodes: 1, Runtime: 10}
+		if i > 0 {
+			jobs[i].Deps = []int{i}
+		}
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := ValidateAll(jobs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("ValidateAll on %d dense jobs made %.0f allocations, want <= 2", len(jobs), allocs)
 	}
 }
 
@@ -212,8 +343,20 @@ func TestPropertyQueueDemandConsistency(t *testing.T) {
 	}
 }
 
-// Property: SortBySubmit yields non-decreasing submit times and preserves
-// the multiset of IDs.
+// sortBySubmitSlice is the sort.Slice ordering that SortBySubmit's key
+// sort replaced; the two must give the identical permutation, ties
+// included.
+func sortBySubmitSlice(jobs []Job) {
+	sort.Slice(jobs, func(i, k int) bool {
+		if jobs[i].Submit != jobs[k].Submit {
+			return jobs[i].Submit < jobs[k].Submit
+		}
+		return jobs[i].ID < jobs[k].ID
+	})
+}
+
+// Property: SortBySubmit yields non-decreasing submit times, preserves
+// the multiset of IDs and orders ties exactly as sort.Slice does.
 func TestPropertySortBySubmit(t *testing.T) {
 	f := func(submits []uint16) bool {
 		jobs := make([]Job, len(submits))
@@ -238,5 +381,53 @@ func TestPropertySortBySubmit(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+
+	// SortBySubmit also puts every job, ties included, where the
+	// sort.Slice reference puts it. Runtime carries each job's original
+	// index, so equal (Submit, ID) pairs are told apart. Inputs cover
+	// heavy Submit ties, all-zero IDs (as synth sorts them) and repeated
+	// (Submit, ID) pairs, at sizes on both sides of pdqsort's
+	// insertion-sort cutoff and large enough to reach its pattern
+	// breaking.
+	rng := rand.New(rand.NewSource(7))
+	sizes := []int{0, 1, 2, 5, 12, 13, 50, 200, 1000, 5000}
+	shapes := []struct {
+		name         string
+		submits, ids int // value ranges; 1 pins the field to one value
+		nearlySorted bool
+	}{
+		{"distinct", 1 << 30, 1 << 30, false},
+		{"heavy submit ties", 8, 1 << 30, false},
+		{"zero IDs", 50, 1, false},
+		{"repeated pairs", 4, 3, false},
+		{"all equal", 1, 1, false},
+		{"nearly sorted zero IDs", 0, 1, true},
+	}
+	for _, sh := range shapes {
+		for _, n := range sizes {
+			jobs := make([]Job, n)
+			for i := range jobs {
+				jobs[i] = Job{ID: rng.Intn(sh.ids), Runtime: int64(i), Nodes: 1}
+				switch {
+				case !sh.nearlySorted:
+					jobs[i].Submit = int64(rng.Intn(sh.submits))
+				case rng.Intn(10) == 0:
+					jobs[i].Submit = int64(rng.Intn(n))
+				default:
+					jobs[i].Submit = int64(i / 4)
+				}
+			}
+			want := append([]Job(nil), jobs...)
+			sortBySubmitSlice(want)
+			SortBySubmit(jobs)
+			for i := range jobs {
+				if jobs[i].Runtime != want[i].Runtime {
+					t.Errorf("%s n=%d: position %d holds input %d, sort.Slice puts input %d there",
+						sh.name, n, i, jobs[i].Runtime, want[i].Runtime)
+					break
+				}
+			}
+		}
 	}
 }

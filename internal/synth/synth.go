@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 
 	"repro/internal/job"
 )
@@ -98,6 +100,7 @@ func (m *Model) Validate() error {
 	if len(m.SizeWeights) == 0 {
 		return fmt.Errorf("synth %s: no size weights", m.Name)
 	}
+	var total float64
 	for _, sw := range m.SizeWeights {
 		if sw.Nodes <= 0 || sw.Nodes > m.MachineNodes {
 			return fmt.Errorf("synth %s: size %d outside [1,%d]", m.Name, sw.Nodes, m.MachineNodes)
@@ -105,6 +108,10 @@ func (m *Model) Validate() error {
 		if sw.Weight < 0 {
 			return fmt.Errorf("synth %s: negative weight for size %d", m.Name, sw.Nodes)
 		}
+		total += sw.Weight
+	}
+	if !(total > 0) {
+		return fmt.Errorf("synth %s: size weights sum to %g, want > 0", m.Name, total)
 	}
 	return nil
 }
@@ -135,15 +142,24 @@ func (m *Model) Generate() ([]job.Job, error) {
 	meanNodes := nodeSum / wSum
 	expectJobs := targetNS / (meanNodes * meanRuntime)
 
+	// Every calibration round draws into the same buffer, sized up front
+	// with headroom for Poisson variation so the first round rarely grows
+	// it. A degenerate model (expectJobs NaN, negative or huge) starts
+	// small.
+	size := 64
+	if expectJobs > 0 && expectJobs < 1<<26 {
+		size += int(1.1 * expectJobs)
+	}
+	jobs := make([]job.Job, 0, size)
+
 	// Calibrate in two stages. First adjust the arrival volume so the
 	// realized node-seconds get close to the target (the RNG is reseeded
 	// each round, so the trace is deterministic in (Seed, scale)). Heavy
 	// runtime tails make this converge only roughly, so a second stage
 	// rescales runtimes by a bounded factor for an exact match.
 	scale := 1.0
-	var jobs []job.Job
 	for iter := 0; iter < 8; iter++ {
-		jobs = m.generateOnce(expectJobs * scale)
+		jobs = m.generateOnce(jobs, expectJobs*scale)
 		got := float64(job.TotalNodeSeconds(jobs))
 		if got == 0 {
 			scale *= 2
@@ -188,18 +204,42 @@ func (m *Model) Generate() ([]job.Job, error) {
 		}
 	}
 	job.SortBySubmit(jobs)
-	for i := range jobs {
-		jobs[i].ID = i + 1
-		jobs[i].Name = fmt.Sprintf("%s-%d", m.Name, i+1)
-	}
+	m.number(jobs)
 	if err := job.ValidateAll(jobs); err != nil {
 		return nil, fmt.Errorf("synth %s: generated invalid workload: %w", m.Name, err)
 	}
 	return jobs, nil
 }
 
-// generateOnce draws one trace with the given expected job count.
-func (m *Model) generateOnce(expectJobs float64) []job.Job {
+// number gives jobs the IDs 1..n in order and names them "<model>-<id>".
+// All names are substrings of one string, built in a single allocation.
+func (m *Model) number(jobs []job.Job) {
+	var b strings.Builder
+	b.Grow(len(jobs) * (len(m.Name) + 1 + len(strconv.Itoa(len(jobs)))))
+	var digits [20]byte
+	for i := range jobs {
+		b.WriteString(m.Name)
+		b.WriteByte('-')
+		b.Write(strconv.AppendInt(digits[:0], int64(i+1), 10))
+	}
+	names := b.String()
+	start, width, nextWidth := 0, 1, 10
+	for i := range jobs {
+		id := i + 1
+		if id == nextWidth {
+			width++
+			nextWidth *= 10
+		}
+		end := start + len(m.Name) + 1 + width
+		jobs[i].ID = id
+		jobs[i].Name = names[start:end]
+		start = end
+	}
+}
+
+// generateOnce draws one trace with the given expected job count,
+// appending it to dst[:0].
+func (m *Model) generateOnce(dst []job.Job, expectJobs float64) []job.Job {
 	rng := rand.New(rand.NewSource(m.Seed))
 	span := m.Span()
 
@@ -227,10 +267,6 @@ func (m *Model) generateOnce(expectJobs float64) []job.Job {
 		if week < len(m.WeekFactors) {
 			w *= m.WeekFactors[week]
 		}
-		if m.BlockSigma > 0 && h%6 == 0 {
-			// One burst multiplier per 6-hour block; consumed below.
-			w *= 1 // placeholder: block noise applied after the loop
-		}
 		weights[h] = w
 		totalW += w
 	}
@@ -246,7 +282,7 @@ func (m *Model) generateOnce(expectJobs float64) []job.Job {
 		}
 	}
 
-	var jobs []job.Job
+	jobs := dst[:0]
 	maxRuntime := m.MaxRuntime
 	if maxRuntime == 0 {
 		maxRuntime = 24 * 3600
@@ -338,7 +374,7 @@ func SDSCBlueWindowed(seed int64, days int) *Model {
 // poisson draws a Poisson variate by inversion (Knuth); adequate for the
 // small per-hour rates used here.
 func poisson(rng *rand.Rand, lambda float64) int {
-	if lambda <= 0 {
+	if !(lambda > 0) {
 		return 0
 	}
 	if lambda > 30 {

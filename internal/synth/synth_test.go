@@ -1,6 +1,9 @@
 package synth
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 	"testing/quick"
@@ -26,6 +29,7 @@ func TestValidate(t *testing.T) {
 		{"no sizes", func(m *Model) { m.SizeWeights = nil }},
 		{"size too big", func(m *Model) { m.SizeWeights = []SizeWeight{{m.MachineNodes + 1, 1}} }},
 		{"negative weight", func(m *Model) { m.SizeWeights = []SizeWeight{{1, -1}} }},
+		{"zero total weight", func(m *Model) { m.SizeWeights = []SizeWeight{{1, 0}, {2, 0}} }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -261,10 +265,94 @@ func TestPropertyCalibrationAcrossSeeds(t *testing.T) {
 	}
 }
 
+// traceDigest hashes every job's ID, Name, Class, Submit, Runtime and
+// Nodes, in order.
+func traceDigest(jobs []job.Job) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	for i := range jobs {
+		j := &jobs[i]
+		put(int64(j.ID))
+		put(int64(len(j.Name)))
+		h.Write([]byte(j.Name))
+		put(int64(j.Class))
+		put(j.Submit)
+		put(j.Runtime)
+		put(int64(j.Nodes))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGeneratedBytesPinned pins the generator's output for each bundled
+// model. Every simulation result downstream is a function of these jobs,
+// so a change here changes every golden: the RNG draw order, the
+// calibration arithmetic and the order of tied submit times all count.
+func TestGeneratedBytesPinned(t *testing.T) {
+	tests := []struct {
+		name   string
+		model  *Model
+		jobs   int
+		digest string
+	}{
+		{"million-task-42-14d", MillionTaskWindowed(42, 14), 1_059_360, "dfc423dc7bb68e478a7565c2e4a164db6844eb5d6abd174392bc7f7a5f32f69a"},
+		{"nasa-ipsc-42", NASAiPSC(42), 4472, "d909c2ffec20a3813e93788c7f36129940d05f82f1b2577cfbc1481e1567872e"},
+		{"sdsc-blue-43", SDSCBlue(43), 2257, "1fb89cedf402bc4e47229540b3cd75a3819eb584f784d59da829dc7005df7374"},
+		{"sdsc-blue-7-4d", SDSCBlueWindowed(7, 4), 529, "358a25e774b4de54ba8d0f5d48cffa089854a0f1d6ac0885293b412945feec41"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if testing.Short() && tt.jobs > 100_000 {
+				t.Skip("million-task generation skipped in -short mode")
+			}
+			jobs, err := tt.model.Generate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(jobs) != tt.jobs {
+				t.Errorf("%d jobs, want %d", len(jobs), tt.jobs)
+			}
+			if got := traceDigest(jobs); got != tt.digest {
+				t.Errorf("digest %s, want %s", got, tt.digest)
+			}
+		})
+	}
+}
+
+// TestGenerateAllocsBounded is the allocation gate for workload
+// synthesis: generating, sorting, numbering, naming and validating a
+// trace costs a fixed number of allocations however many jobs it has.
+func TestGenerateAllocsBounded(t *testing.T) {
+	const limit = 64
+	for _, days := range []int{1, 2} {
+		m := MillionTaskWindowed(3, days)
+		allocs := testing.AllocsPerRun(2, func() {
+			if _, err := m.Generate(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs >= limit {
+			t.Errorf("%d-day million-task: Generate made %.0f allocations, want < %d", days, allocs, limit)
+		}
+	}
+}
+
 func BenchmarkGenerateNASA(b *testing.B) {
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := NASAiPSC(int64(i)).Generate(); err != nil {
+	for b.Loop() {
+		if _, err := NASAiPSC(42).Generate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkGenerateMillionTask(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := MillionTask(0).Generate(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -295,7 +383,14 @@ func TestMillionTaskGeneratesAMillionTasks(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(again) != len(jobs) {
-		t.Errorf("regeneration not deterministic: %d vs %d jobs", len(again), len(jobs))
+		t.Fatalf("regeneration not deterministic: %d vs %d jobs", len(again), len(jobs))
+	}
+	for i := range jobs {
+		a, b := &again[i], &jobs[i]
+		if a.ID != b.ID || a.Name != b.Name || a.Class != b.Class || a.Submit != b.Submit ||
+			a.Runtime != b.Runtime || a.Nodes != b.Nodes || len(a.Deps) != len(b.Deps) || a.Workflow != b.Workflow {
+			t.Fatalf("regeneration not deterministic at job %d: %+v vs %+v", i, again[i], jobs[i])
+		}
 	}
 }
 
