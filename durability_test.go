@@ -132,15 +132,23 @@ func TestEngineDurableCrashMidRunResumes(t *testing.T) {
 
 	dir := t.TempDir()
 	// Workers: 1 and a queue hog keep the scenario strictly queued, so
-	// the "crash" provably lands before any attempt ran.
+	// the "crash" provably lands before any attempt ran. The hog is a
+	// live-fed run: it holds the only worker, blocked on its task feed,
+	// until the feed ends after the copy.
 	eng1 := durableEngine(t, dir, ServiceConfig{Workers: 1})
 	hogSpec, err := ParseScenario([]byte(`{"name":"hog","days":1,"systems":["DCS"],
-		"providers":[{"name":"p","source":{"kind":"synth","model":"nasa"}}]}`))
+		"stream":{"enabled":true,"window_seconds":43200},
+		"providers":[{"name":"p","fixed_nodes":8,"source":{"kind":"live"}}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng1.Submit(context.Background(), SubmitRequest{Scenario: hogSpec}, WithWorkers(1)); err != nil {
+	hog, err := eng1.Submit(context.Background(), SubmitRequest{Scenario: hogSpec}, WithWorkers(1))
+	if err != nil {
 		t.Fatal(err)
+	}
+	hogFeed, ok := eng1.Feed(hog.ID())
+	if !ok {
+		t.Fatalf("hog run %s has no live feed", hog.ID())
 	}
 	spec1, _ := ParseScenario([]byte(durableScenarioSrc))
 	h1, err := eng1.Submit(context.Background(), SubmitRequest{Scenario: spec1}, WithWorkers(2))
@@ -150,6 +158,7 @@ func TestEngineDurableCrashMidRunResumes(t *testing.T) {
 
 	crashDir := t.TempDir()
 	copyDir(t, dir, crashDir)
+	hogFeed.CloseAll()
 
 	eng2 := durableEngine(t, crashDir, ServiceConfig{Workers: 2})
 	h2, ok := eng2.Handle(h1.ID())

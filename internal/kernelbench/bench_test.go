@@ -8,7 +8,8 @@ import (
 
 // BenchmarkKernel is the kernel's tracked performance gate. It drives the
 // comparative workload (DefaultEvents executed events per kernel) through
-// the fast and reference kernels, reports the headline metrics, writes
+// the fast and reference kernels and a bulk feed of DefaultEvents sorted
+// arrivals through the fast one, reports the headline metrics, writes
 // BENCH_kernel.json (to $BENCH_KERNEL_JSON when set, else the package
 // directory) and fails when the fast kernel breaks the checked-in budget
 // in testdata/bench_budget.json. CI runs it with -benchtime 1x and
@@ -21,6 +22,8 @@ func BenchmarkKernel(b *testing.B) {
 	b.ReportMetric(report.Fast.NsPerEvent, "fast-ns/event")
 	b.ReportMetric(report.Fast.AllocsPerEvent, "fast-allocs/event")
 	b.ReportMetric(report.Fast.EventsPerSec, "fast-events/sec")
+	b.ReportMetric(report.Bulk.NsPerEvent, "bulk-ns/event")
+	b.ReportMetric(report.Bulk.AllocsPerEvent, "bulk-allocs/event")
 	b.ReportMetric(report.Ref.NsPerEvent, "ref-ns/event")
 	b.ReportMetric(report.Ref.AllocsPerEvent, "ref-allocs/event")
 	b.ReportMetric(report.Speedup, "speedup-x")
@@ -176,6 +179,9 @@ func TestRunSmokesBothKernels(t *testing.T) {
 		t.Errorf("fast kernel allocates %.3f/event, reference %.3f/event — no reduction",
 			r.Fast.AllocsPerEvent, r.Ref.AllocsPerEvent)
 	}
+	if r.Bulk.Events != 2*30_000 {
+		t.Errorf("bulk feed executed %d events, want %d arrivals plus their completions", r.Bulk.Events, 2*30_000)
+	}
 }
 
 // TestBudgetFileParsesAndIsEnforceable pins the checked-in budget: it
@@ -192,6 +198,10 @@ func TestBudgetFileParsesAndIsEnforceable(t *testing.T) {
 	}
 	if err := b.Check(bad); err == nil {
 		t.Error("budget accepted a report over the allocation ceiling")
+	}
+	bulk := Report{Bulk: Kernel{AllocsPerEvent: b.MaxAllocsPerEvent + 1}, Speedup: b.MinSpeedup}
+	if err := b.Check(bulk); err == nil {
+		t.Error("budget accepted a bulk feed over the allocation ceiling")
 	}
 	slow := Report{Speedup: b.MinSpeedup / 2}
 	if b.MinSpeedup > 0 {

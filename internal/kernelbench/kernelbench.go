@@ -3,7 +3,9 @@
 // kernel (internal/sim) and the original container/heap reference kernel
 // (internal/sim/refheap), and the result — ns/event, allocs/event,
 // events/sec for both, plus the speedup — is reported as a struct and as
-// machine-readable JSON (BENCH_kernel.json).
+// machine-readable JSON (BENCH_kernel.json). A third row times the fast
+// kernel's bulk feed: sorted arrivals issued as one ScheduleBatch, each
+// scheduling a completion, the shape of a materialized workload.
 //
 // Two callers share it: BenchmarkKernel (this package's bench, which CI
 // runs with -benchtime 1x, uploading the JSON artifact and failing the
@@ -49,6 +51,9 @@ type Report struct {
 	Fast Kernel `json:"fast"`
 	// Ref is the original container/heap kernel (internal/sim/refheap).
 	Ref Kernel `json:"ref"`
+	// Bulk is the fast kernel fed sorted arrivals as one batch; its
+	// events are the arrivals plus their completions.
+	Bulk Kernel `json:"bulk"`
 	// Speedup is Fast.EventsPerSec / Ref.EventsPerSec.
 	Speedup float64 `json:"speedup_events_per_sec"`
 	// AllocsSavedPerEvent is Ref minus Fast allocs/event.
@@ -58,7 +63,8 @@ type Report struct {
 // Budget is the checked-in regression budget (testdata/bench_budget.json).
 type Budget struct {
 	// MaxAllocsPerEvent fails the bench when the fast kernel allocates
-	// more than this per executed event.
+	// more than this per executed event, on the actor and the bulk-feed
+	// workloads alike.
 	MaxAllocsPerEvent float64 `json:"max_allocs_per_event"`
 	// MinSpeedup fails the bench when the fast kernel's events/sec falls
 	// below this multiple of the reference kernel's. Kept conservative:
@@ -93,6 +99,10 @@ func (b Budget) Check(r Report) error {
 		return fmt.Errorf("kernelbench: fast kernel allocates %.4f/event, budget %.4f",
 			r.Fast.AllocsPerEvent, b.MaxAllocsPerEvent)
 	}
+	if r.Bulk.AllocsPerEvent > b.MaxAllocsPerEvent {
+		return fmt.Errorf("kernelbench: bulk feed allocates %.4f/event, budget %.4f",
+			r.Bulk.AllocsPerEvent, b.MaxAllocsPerEvent)
+	}
 	if b.MinSpeedup > 0 && r.Speedup < b.MinSpeedup {
 		return fmt.Errorf("kernelbench: speedup %.2fx below budget %.2fx", r.Speedup, b.MinSpeedup)
 	}
@@ -115,7 +125,7 @@ func (r Report) Text() string {
 			k.Name, k.Events, k.NsPerEvent, k.AllocsPerEvent, k.EventsPerSec)
 	}
 	return fmt.Sprintf("%-22s %10s %12s %14s %16s\n", "kernel", "events", "ns/event", "allocs/event", "events/sec") +
-		line(r.Fast) + line(r.Ref) +
+		line(r.Fast) + line(r.Ref) + line(r.Bulk) +
 		fmt.Sprintf("speedup: %.2fx events/sec, %.3f allocs/event saved\n", r.Speedup, r.AllocsSavedPerEvent)
 }
 
@@ -192,6 +202,26 @@ func drive(api engineAPI, events int64) int64 {
 	return executed
 }
 
+// driveBulk feeds arrivals sorted by time (three per instant) as one
+// ScheduleBatch, as systems.FeedJobs feeds a materialized workload; each
+// arrival schedules one completion through a pre-bound callback. It
+// returns executed events: every arrival and every completion.
+func driveBulk(arrivals int) int64 {
+	e := sim.New()
+	var executed int64
+	complete := func() { executed++ }
+	rng := uint64(0x2545F4914F6CDD1D)
+	e.ScheduleBatch(arrivals, func(i int) sim.Time { return sim.Time(i / 3) }, func(int) {
+		executed++
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		e.Schedule(sim.Time(rng%1021)+1, complete)
+	})
+	e.RunAll()
+	return executed
+}
+
 func fastAPI() engineAPI {
 	e := sim.New()
 	return engineAPI{
@@ -214,13 +244,13 @@ func refAPI() engineAPI {
 	}
 }
 
-// measure runs the driver once under mallocs/wall-clock instrumentation.
-func measure(name string, events int64, api engineAPI) Kernel {
+// measure runs one drive under mallocs/wall-clock instrumentation.
+func measure(name string, drive func() int64) Kernel {
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	start := time.Now()
-	fired := drive(api, events)
+	fired := drive()
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&m1)
 	allocs := float64(m1.Mallocs - m0.Mallocs)
@@ -237,8 +267,9 @@ func measure(name string, events int64, api engineAPI) Kernel {
 
 // Run executes the comparative measurement: the identical seeded workload
 // of self-rescheduling actors, periodic tickers and cancel/reschedule
-// churn through both kernels. events is the target executed-event count
-// per kernel (DefaultEvents when <= 0).
+// churn through both kernels, then the bulk feed of events arrivals.
+// events is the target executed-event count per kernel (DefaultEvents
+// when <= 0).
 func Run(events int64) Report {
 	r, _ := RunContext(context.Background(), events) //dclint:allow ctxfirst -- documented non-ctx convenience wrapper over RunContext
 	return r
@@ -257,8 +288,10 @@ func RunContext(ctx context.Context, events int64) (Report, error) {
 	phases := []func(){
 		func() { drive(fastAPI(), 10_000) },
 		func() { drive(refAPI(), 10_000) },
-		func() { r.Fast = measure("sim (indexed 4-ary)", events, fastAPI()) },
-		func() { r.Ref = measure("refheap (container/heap)", events, refAPI()) },
+		func() { driveBulk(10_000) },
+		func() { r.Fast = measure("sim (indexed 4-ary)", func() int64 { return drive(fastAPI(), events) }) },
+		func() { r.Ref = measure("refheap (container/heap)", func() int64 { return drive(refAPI(), events) }) },
+		func() { r.Bulk = measure("sim bulk feed", func() int64 { return driveBulk(int(events)) }) },
 	}
 	for _, phase := range phases {
 		if err := ctx.Err(); err != nil {

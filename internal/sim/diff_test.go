@@ -17,10 +17,21 @@ type kernelOps struct {
 	at       func(t int64, fn func()) int64
 	schedule func(d int64, fn func()) int64
 	cancel   func(id int64) bool
+	batch    func(n int, at func(i int) int64, fire func(i int))
 	every    func(interval int64, fn func()) func()
 	stop     func()
 	run      func(until int64)
 	runAll   func()
+}
+
+// refBatch replays a batch on the reference kernel as the n individual
+// At calls it must be indistinguishable from.
+func refBatch(e *refheap.Engine) func(n int, at func(i int) int64, fire func(i int)) {
+	return func(n int, at func(i int) int64, fire func(i int)) {
+		for i := 0; i < n; i++ {
+			e.At(at(i), func() { fire(i) })
+		}
+	}
 }
 
 func fastOps(e *Engine) kernelOps {
@@ -31,6 +42,7 @@ func fastOps(e *Engine) kernelOps {
 		at:       func(t int64, fn func()) int64 { return int64(e.At(t, fn)) },
 		schedule: func(d int64, fn func()) int64 { return int64(e.Schedule(d, fn)) },
 		cancel:   func(id int64) bool { return e.Cancel(EventID(id)) },
+		batch:    e.ScheduleBatch,
 		every:    e.Every,
 		stop:     e.Stop,
 		run:      e.Run,
@@ -46,6 +58,7 @@ func refOps(e *refheap.Engine) kernelOps {
 		at:       e.At,
 		schedule: e.Schedule,
 		cancel:   e.Cancel,
+		batch:    refBatch(e),
 		every:    e.Every,
 		stop:     e.Stop,
 		run:      e.Run,
@@ -68,6 +81,7 @@ func fastStepOps(e *Engine) kernelOps {
 		at:       func(t int64, fn func()) int64 { return int64(e.At(t, fn)) },
 		schedule: func(d int64, fn func()) int64 { return int64(e.Schedule(d, fn)) },
 		cancel:   func(id int64) bool { return e.Cancel(EventID(id)) },
+		batch:    e.ScheduleBatch,
 		every:    e.Every,
 		stop:     func() { stopped = true },
 		run: func(until int64) {
@@ -100,6 +114,7 @@ func refStepOps(e *refheap.Engine) kernelOps {
 		at:       e.At,
 		schedule: e.Schedule,
 		cancel:   e.Cancel,
+		batch:    refBatch(e),
 		every:    e.Every,
 		stop:     func() { stopped = true },
 		run: func(until int64) {
@@ -132,11 +147,12 @@ type traceEntry struct {
 }
 
 // script replays one seeded schedule — initial events that spawn children
-// and cancel peers, periodic timers that stop themselves, mid-run Stop
-// calls, segmented Run windows — against a kernel, returning the full
-// observable trace. Every random draw comes from generator state advanced
-// identically on both kernels as long as their execution orders agree;
-// any divergence shows up as differing traces.
+// and cancel peers, sorted and unsorted batches, periodic timers that
+// stop themselves, mid-run Stop calls, segmented Run windows — against a
+// kernel, returning the full observable trace. Every random draw comes
+// from generator state advanced identically on both kernels as long as
+// their execution orders agree; any divergence shows up as differing
+// traces.
 func script(seed int64, ops kernelOps) []traceEntry {
 	rng := rand.New(rand.NewSource(seed))
 	var trace []traceEntry
@@ -162,6 +178,17 @@ func script(seed int64, ops kernelOps) []traceEntry {
 					ids = append(ids, id)
 				}
 			}
+			if depth < 2 && r.Int63n(8) == 0 {
+				// A batch of children from inside an event, some at now.
+				times := make([]int64, 1+r.Intn(4))
+				for i := range times {
+					times[i] = ops.now() + r.Int63n(3)*r.Int63n(100)
+				}
+				ops.batch(len(times), func(i int) int64 { return times[i] }, func(i int) {
+					childTag := tag*31 + int64(i) + 7
+					fire(childTag, depth+1, behavior*137+int64(i))()
+				})
+			}
 			if r.Int63n(4) == 0 && len(ids) > 0 {
 				// Record the victim's issue index, not the raw id: the two
 				// kernels issue different (but equally valid) id encodings.
@@ -181,6 +208,28 @@ func script(seed int64, ops kernelOps) []traceEntry {
 		id := ops.at(at, fire(int64(i), 0, seed*977+int64(i)))
 		ids = append(ids, id)
 	}
+
+	// batch issues n items through ScheduleBatch: sorted with ties from
+	// now when sorted is set, else unsorted; items tie with At events
+	// and with each other, and may land exactly at now.
+	batch := func(tag0 int64, n int, sorted bool) {
+		times := make([]int64, n)
+		t := ops.now()
+		for i := range times {
+			if sorted {
+				t += rng.Int63n(3) * rng.Int63n(40)
+				times[i] = t
+			} else {
+				times[i] = ops.now() + rng.Int63n(800)
+			}
+		}
+		ops.batch(n, func(i int) int64 { return times[i] }, func(i int) {
+			tag := tag0 + int64(i)
+			fire(tag, 1, seed*389+tag)()
+		})
+	}
+	batch(40_000, 150, true)
+	batch(41_000, 60, false)
 
 	// Periodic timers that stop themselves after a few ticks, plus one
 	// stopped externally mid-run and one stopped twice (a no-op).
@@ -218,6 +267,7 @@ func script(seed int64, ops kernelOps) []traceEntry {
 		record("segment", until, false)
 		id := ops.at(ops.now()+rng.Int63n(200), fire(30_000+until, 1, seed+until))
 		ids = append(ids, id)
+		batch(50_000+until*100, 1+rng.Intn(40), rng.Intn(2) == 0)
 	}
 	ops.run(3_000)
 	stopExt()

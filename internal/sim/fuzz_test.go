@@ -5,23 +5,29 @@ import (
 )
 
 // FuzzEventOrder feeds arbitrary byte programs to the kernel — schedule,
-// cancel, run-segment and stop opcodes — and checks the heap's core
-// invariants on whatever schedule results:
+// cancel, run-segment, foreign-cancel and batch opcodes — and checks the
+// heap's core invariants on whatever schedule results:
 //
+//   - every event fires at the time it was scheduled for;
 //   - events pop in nondecreasing virtual time;
-//   - same-time events pop FIFO (in schedule order);
+//   - same-time events pop FIFO (in schedule order), batch items
+//     included;
 //   - exactly the scheduled-minus-cancelled events fire;
-//   - Len reports zero once the queue drains.
+//   - after every op, Len equals scheduled minus fired minus cancelled.
 func FuzzEventOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 10, 0, 10, 0, 5, 1, 0, 2, 20})
 	f.Add([]byte{0, 255, 0, 0, 0, 0, 1, 9, 3, 0, 0, 7})
 	f.Add([]byte{0, 1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 2, 255})
+	// Batches: sorted with ties and items at now, then unsorted, with
+	// events and cancels between them.
+	f.Add([]byte{0, 3, 4, 0x85, 0, 1, 0, 2, 3, 4, 3, 0, 2, 7, 1, 0, 4, 0x04, 9, 0, 9, 3, 1, 2, 2, 1})
+	f.Add([]byte{4, 0x8f, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 0, 0, 0, 1, 2, 3, 2, 5, 4, 3, 30, 20, 10, 0})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		e := New()
 		type firing struct {
-			time Time
-			seq  int
+			time, want Time
+			seq        int
 		}
 		var fired []firing
 		var ids []EventID
@@ -43,13 +49,13 @@ func FuzzEventOrder(f *testing.F) {
 				break
 			}
 			arg, _ := next()
-			switch op % 4 {
+			switch op % 5 {
 			case 0: // schedule at now+arg
-				mySeq := seq
+				mySeq, want := seq, e.Now()+Time(arg)
 				seq++
 				scheduled++
 				ids = append(ids, e.Schedule(Time(arg), func() {
-					fired = append(fired, firing{time: e.Now(), seq: mySeq})
+					fired = append(fired, firing{time: e.Now(), want: want, seq: mySeq})
 				}))
 			case 1: // cancel the arg-th issued id
 				if len(ids) > 0 {
@@ -63,12 +69,43 @@ func FuzzEventOrder(f *testing.F) {
 				if e.Cancel(EventID(int64(arg)*1_000_003 + 1<<40)) {
 					t.Fatalf("cancel of foreign id reported success")
 				}
+			case 4: // batch of 1+arg%16 items, one time byte each
+				// The high bit makes the bytes gaps of a sorted run (zero
+				// gaps tie); otherwise they are offsets from now, in any
+				// order. Either way an item may land at now.
+				n := 1 + int(arg%16)
+				times := make([]Time, n)
+				t0 := e.Now()
+				for i := range times {
+					b, _ := next()
+					if arg&0x80 != 0 {
+						t0 += Time(b % 4)
+						times[i] = t0
+					} else {
+						times[i] = e.Now() + Time(b%32)
+					}
+				}
+				seq0 := seq
+				seq += n
+				scheduled += n
+				e.ScheduleBatch(n, func(i int) Time { return times[i] }, func(i int) {
+					fired = append(fired, firing{time: e.Now(), want: times[i], seq: seq0 + i})
+				})
+			}
+			if got, want := e.Len(), scheduled-len(fired)-cancelled; got != want {
+				t.Fatalf("after op %d: Len() = %d, want scheduled %d - fired %d - cancelled %d = %d",
+					op%5, got, scheduled, len(fired), cancelled, want)
 			}
 		}
 		e.RunAll()
 
 		if got, want := len(fired), scheduled-cancelled; got != want {
 			t.Fatalf("fired %d events, want %d (scheduled %d - cancelled %d)", got, want, scheduled, cancelled)
+		}
+		for i := range fired {
+			if fired[i].time != fired[i].want {
+				t.Fatalf("event seq %d fired at t=%d, scheduled for t=%d", fired[i].seq, fired[i].time, fired[i].want)
+			}
 		}
 		for i := 1; i < len(fired); i++ {
 			if fired[i].time < fired[i-1].time {

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -124,42 +126,143 @@ func TestCancelInterleavedWithPopsKeepsAccounting(t *testing.T) {
 
 // TestScheduleBatchMatchesIndividualAt pins ScheduleBatch semantics: item
 // order assigns issue order, so a batch is indistinguishable from the
-// equivalent sequence of At calls — including FIFO ties.
+// equivalent sequence of At calls — FIFO ties among items and against
+// At events issued before and after it, multi-run unsorted input, items
+// at the current instant, and events scheduled from inside an item.
 func TestScheduleBatchMatchesIndividualAt(t *testing.T) {
-	times := []Time{30, 10, 10, 20, 10, 30}
-
-	run := func(batch bool) []int {
-		e := New()
-		var order []int
-		item := func(i int) (Time, func()) {
-			return times[i], func() { order = append(order, i) }
+	cases := []struct {
+		name      string
+		now       Time
+		times     []Time
+		pre, post []Time // At events issued before and after the batch
+		want      []int  // expected order of batch items, when pinned
+	}{
+		{name: "tied runs", times: []Time{30, 10, 10, 20, 10, 30}, want: []int{1, 2, 4, 3, 0, 5}},
+		{name: "sorted", times: []Time{1, 2, 2, 2, 5, 9, 9}, want: []int{0, 1, 2, 3, 4, 5, 6}},
+		{name: "unsorted multi-run", times: []Time{5, 7, 7, 3, 9, 1, 1, 4, 2, 8, 8, 0}},
+		{name: "strictly decreasing", times: []Time{6, 5, 4, 3, 2, 1}, want: []int{5, 4, 3, 2, 1, 0}},
+		{name: "At ties", times: []Time{10, 10, 20, 20, 10}, pre: []Time{20, 10}, post: []Time{10, 20}},
+		{name: "items at now", now: 7, times: []Time{7, 9, 7, 7, 8}, pre: []Time{7}, post: []Time{7, 9}},
+	}
+	for _, tc := range cases {
+		run := func(batch bool) ([]int, int) {
+			e := New()
+			e.Advance(tc.now)
+			var order []int
+			fire := func(i int) {
+				order = append(order, i)
+				if i%3 == 0 { // a child at the item's own instant
+					e.At(e.Now(), func() { order = append(order, 1000+i) })
+				}
+			}
+			for k, at := range tc.pre {
+				e.At(at, func() { order = append(order, -1-k) })
+			}
+			if batch {
+				e.ScheduleBatch(len(tc.times), func(i int) Time { return tc.times[i] }, fire)
+			} else {
+				for i, at := range tc.times {
+					e.At(at, func() { fire(i) })
+				}
+			}
+			for k, at := range tc.post {
+				e.At(at, func() { order = append(order, 100+k) })
+			}
+			pending := e.Len()
+			e.RunAll()
+			return order, pending
 		}
-		if batch {
-			e.ScheduleBatch(len(times), item)
-		} else {
-			for i := range times {
-				at, fn := item(i)
-				e.At(at, fn)
+		batched, batchLen := run(true)
+		individual, atLen := run(false)
+		if batchLen != atLen {
+			t.Errorf("%s: Len after scheduling = %d, want %d", tc.name, batchLen, atLen)
+		}
+		if !slices.Equal(batched, individual) {
+			t.Errorf("%s: batch order %v, individual At order %v", tc.name, batched, individual)
+		}
+		if tc.want != nil {
+			var items []int
+			for _, v := range batched {
+				if v >= 0 && v < 100 {
+					items = append(items, v)
+				}
+			}
+			if !slices.Equal(items, tc.want) {
+				t.Errorf("%s: batch item order = %v, want %v", tc.name, items, tc.want)
 			}
 		}
-		e.RunAll()
-		return order
+	}
+}
+
+// TestScheduleBatchChecksEagerly pins that a batch item in the past or a
+// nil function panics at the ScheduleBatch call, before anything is
+// queued.
+func TestScheduleBatchChecksEagerly(t *testing.T) {
+	mustPanic := func(name string, f func(e *Engine)) {
+		t.Helper()
+		e := New()
+		e.Advance(10)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f(e)
+		}()
+		if e.Len() != 0 || len(e.heap) != 0 {
+			t.Errorf("%s: queued Len=%d heap=%d before panicking", name, e.Len(), len(e.heap))
+		}
+	}
+	times := []Time{10, 12, 9, 11}
+	mustPanic("item before now", func(e *Engine) {
+		e.ScheduleBatch(len(times), func(i int) Time { return times[i] }, func(int) {})
+	})
+	mustPanic("nil at", func(e *Engine) { e.ScheduleBatch(1, nil, func(int) {}) })
+	mustPanic("nil fire", func(e *Engine) { e.ScheduleBatch(1, func(int) Time { return 10 }, nil) })
+}
+
+// TestSortedBatchDrainKeepsOneNode is the regression test for bulk
+// feeds: draining a sorted 100k-item batch whose items each schedule one
+// completion keeps the physical heap at the run's single node plus the
+// in-flight completions, and allocates O(1) rather than per item.
+func TestSortedBatchDrainKeepsOneNode(t *testing.T) {
+	const n = 100_000
+	e := New()
+	inFlight, maxHeap, fired := 0, 0, 0
+	complete := func() { inFlight-- }
+	at := func(i int) Time { return Time(i / 3) } // ties in threes
+	arrive := func(i int) {
+		fired++
+		if got, want := len(e.heap), 1+inFlight; i < n-1 && got != want {
+			t.Fatalf("item %d: heap holds %d nodes, want run head + %d completions = %d", i, got, inFlight, want)
+		}
+		if len(e.heap) > maxHeap {
+			maxHeap = len(e.heap)
+		}
+		inFlight++
+		e.Schedule(Time(1+i%50), complete)
 	}
 
-	batched, individual := run(true), run(false)
-	if len(batched) != len(individual) {
-		t.Fatalf("lengths differ: %d vs %d", len(batched), len(individual))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e.ScheduleBatch(n, at, arrive)
+	if e.Len() != n || len(e.heap) != 1 {
+		t.Fatalf("after batch: Len=%d heap=%d, want %d and 1", e.Len(), len(e.heap), n)
 	}
-	for i := range batched {
-		if batched[i] != individual[i] {
-			t.Fatalf("order differs at %d: batch %v, individual %v", i, batched, individual)
-		}
+	e.RunAll()
+	runtime.ReadMemStats(&after)
+
+	if fired != n || inFlight != 0 || e.Len() != 0 {
+		t.Fatalf("fired=%d inFlight=%d Len=%d, want %d/0/0", fired, inFlight, e.Len(), n)
 	}
-	want := []int{1, 2, 4, 3, 0, 5}
-	for i := range want {
-		if batched[i] != want[i] {
-			t.Fatalf("batch order = %v, want %v", batched, want)
-		}
+	if maxHeap > 200 {
+		t.Errorf("heap peaked at %d nodes, want about the completion window", maxHeap)
+	}
+	// The slab and heap grow to the completion window in O(log) steps;
+	// per-item allocation would be ~n.
+	if allocs := after.Mallocs - before.Mallocs; allocs > 100 {
+		t.Errorf("sorted batch of %d allocated %d times, want O(1)", n, allocs)
 	}
 }
 
@@ -177,9 +280,7 @@ func TestReservePreGrowsWithoutScheduling(t *testing.T) {
 	}
 	heapCap, slabCap := cap(e.heap), cap(e.slab)
 	fired := 0
-	e.ScheduleBatch(1000, func(i int) (Time, func()) {
-		return Time(i % 37), func() { fired++ }
-	})
+	e.ScheduleBatch(1000, func(i int) Time { return Time(i % 37) }, func(int) { fired++ })
 	if cap(e.heap) != heapCap || cap(e.slab) != slabCap {
 		t.Errorf("batch within reservation reallocated: heap %d->%d, slab %d->%d",
 			heapCap, cap(e.heap), slabCap, cap(e.slab))

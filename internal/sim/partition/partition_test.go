@@ -184,11 +184,11 @@ func TestReserveUnderPartitioning(t *testing.T) {
 	const events = 20000
 	engines := []*sim.Engine{sim.New(), sim.New()}
 	for pi, e := range engines {
-		e.Reserve(events) // explicit, as a bulk feeder would
+		e.Reserve(events) // explicit, as a feed of individual At calls would
 		eng, base := e, sim.Time(pi)
-		eng.ScheduleBatch(events, func(i int) (sim.Time, func()) {
-			return base + sim.Time(2*i), func() {}
-		})
+		eng.ScheduleBatch(events,
+			func(i int) sim.Time { return base + sim.Time(2*i) },
+			func(int) {})
 	}
 
 	var before, after runtime.MemStats

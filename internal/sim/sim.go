@@ -21,8 +21,20 @@
 //     pop in schedule order (FIFO) and the comparator is a total order —
 //     pop order is independent of the heap's internal shape.
 //   - slab entries are reused through a free list, so steady-state
-//     scheduling performs no per-event allocation; Reserve/ScheduleBatch
-//     pre-size both arrays for bulk feeds.
+//     scheduling performs no per-event allocation; Reserve pre-sizes
+//     both arrays for a feed of many individual At calls.
+//   - ScheduleBatch feeds pre-sorted arrivals as lazy runs. It reserves
+//     one issue number per item up front (item i of a batch issued at
+//     seq s takes s+i), splits the batch into maximal runs of
+//     nondecreasing time, and queues only each run's head. When a head
+//     fires, its successor takes the head's heap node and slab slot under
+//     its reserved seq, and only then does the item's callback run. A
+//     successor's key is greater than its predecessor's, and (time, seq)
+//     is a total order, so the pop order is exactly that of one At call
+//     per item — for sorted, tied and unsorted input alike. A sorted
+//     million-job feed thus holds one heap node and allocates nothing per
+//     job. The contract that makes this sound: at(i) returns the same
+//     time from the ScheduleBatch call until item i fires.
 //   - EventIDs pack (slot+1, generation). The generation increments every
 //     time a slot is freed, so a stale ID — already fired, already
 //     cancelled, or from another engine — can never reach a reused slot:
@@ -38,10 +50,11 @@
 //
 // Invariants checked by the property/fuzz suite (see fuzz_test.go and
 // diff_test.go): pops are nondecreasing in time and FIFO-stable per
-// timestamp; Len equals scheduled minus fired minus cancelled; and any
-// seeded schedule replays on this kernel with event order, timestamps and
-// side effects identical to the original container/heap kernel preserved
-// in internal/sim/refheap.
+// timestamp; Len, which counts every unfired batch item, equals
+// scheduled minus fired minus cancelled; and any seeded schedule,
+// batches included, replays on this kernel with event order, timestamps
+// and side effects identical to the original container/heap kernel
+// preserved in internal/sim/refheap (where a batch is n At calls).
 //
 // # Partitioned runs
 //
@@ -114,8 +127,20 @@ func unpackID(id EventID) (slot int, gen uint32, ok bool) {
 // or sits on the free list (fired/compacted/skipped).
 type event struct {
 	fn   func()
-	gen  uint32 // bumped on every free; stale-ID guard
+	run  *batchRun // non-nil for the head of a ScheduleBatch run
+	gen  uint32    // bumped on every free; stale-ID guard
 	live bool
+}
+
+// batchRun is one maximal nondecreasing run of a ScheduleBatch: items
+// next..end-1, whose issue numbers are seq0+i. Only the run's current
+// head occupies a heap node and a slab slot.
+type batchRun struct {
+	at   func(i int) Time
+	fire func(i int)
+	seq0 int64
+	next int
+	end  int
 }
 
 // heapNode is one heap entry. The ordering key (time, seq) lives in the
@@ -164,7 +189,8 @@ func New() *Engine { return &Engine{} }
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Len reports the number of pending (scheduled, uncancelled) events.
+// Len reports the number of pending (scheduled, uncancelled) events,
+// counting every not-yet-fired item of a ScheduleBatch.
 func (e *Engine) Len() int { return e.live }
 
 // siftUp restores the heap property for a new entry at index i.
@@ -229,6 +255,7 @@ func (e *Engine) popTop() {
 func (e *Engine) freeSlot(slot int32) {
 	ev := &e.slab[slot]
 	ev.fn = nil
+	ev.run = nil
 	ev.live = false
 	ev.gen = (ev.gen + 1) & genMask
 	e.free = append(e.free, slot)
@@ -250,12 +277,12 @@ func (e *Engine) peekLive() (node heapNode, ok bool) {
 }
 
 // maybeCompact rebuilds the heap without its dead entries once they
-// outnumber the live ones, bounding queue growth under schedule-heavy
+// outnumber the live heap nodes, bounding queue growth under schedule-heavy
 // cancel-heavy workloads. Compaction cannot change pop order: the
 // comparator is a total order, so the pop sequence is independent of the
 // heap's internal arrangement.
 func (e *Engine) maybeCompact() {
-	if e.dead < compactMinDead || e.dead <= e.live {
+	if e.dead < compactMinDead || e.dead <= len(e.heap)-e.dead {
 		return
 	}
 	kept := e.heap[:0]
@@ -296,6 +323,15 @@ func (e *Engine) At(t Time, fn func()) EventID {
 		panic("sim: nil event function")
 	}
 	e.nextSeq++
+	slot := e.push(t, e.nextSeq)
+	ev := &e.slab[slot]
+	ev.fn = fn
+	e.live++
+	return packID(slot, ev.gen)
+}
+
+// push takes a slab slot, marks it live and queues it under (t, seq).
+func (e *Engine) push(t Time, seq int64) int32 {
 	var slot int32
 	if n := len(e.free); n > 0 {
 		slot = e.free[n-1]
@@ -304,19 +340,16 @@ func (e *Engine) At(t Time, fn func()) EventID {
 		e.slab = append(e.slab, event{})
 		slot = int32(len(e.slab) - 1)
 	}
-	ev := &e.slab[slot]
-	ev.fn = fn
-	ev.live = true
-	e.heap = append(e.heap, heapNode{time: t, seq: e.nextSeq, slot: slot})
+	e.slab[slot].live = true
+	e.heap = append(e.heap, heapNode{time: t, seq: seq, slot: slot})
 	e.siftUp(len(e.heap) - 1)
-	e.live++
-	return packID(slot, ev.gen)
+	return slot
 }
 
-// Reserve pre-grows the queue for n upcoming events, so a bulk feed (a
-// workload's every job submission, say) triggers at most one allocation
-// for the heap and one for the slab instead of O(log n) progressive
-// growths.
+// Reserve pre-grows the queue for n upcoming events, so a feed of many
+// individual At calls triggers at most one allocation for the heap and
+// one for the slab instead of O(log n) progressive growths. A
+// ScheduleBatch needs no reservation: it queues one node per run.
 func (e *Engine) Reserve(n int) {
 	if n <= 0 {
 		return
@@ -337,18 +370,45 @@ func (e *Engine) Reserve(n int) {
 	}
 }
 
-// ScheduleBatch schedules n events in one pre-sized operation. item(i)
-// must return the i-th event's absolute time and callback; items receive
-// consecutive issue numbers in index order, so same-time events fire in
-// item order exactly as n individual At calls would.
-func (e *Engine) ScheduleBatch(n int, item func(i int) (at Time, fn func())) {
+// ScheduleBatch schedules n events: item i fires at absolute time at(i)
+// by calling fire(i). Items take n consecutive issue numbers in index
+// order, so the pop order is exactly that of n individual At calls —
+// same-time items fire in index order, after earlier-issued events and
+// before later ones.
+//
+// The batch is split into maximal runs of nondecreasing at(i), and only
+// each run's head is queued; when a head fires, its successor is queued
+// under its reserved issue number before fire runs. A sorted feed thus
+// costs one heap node and no allocation per item, and a strictly
+// decreasing one degrades to a node per item. at(i) must return the same
+// time from the call until item i fires. Items cannot be cancelled.
+func (e *Engine) ScheduleBatch(n int, at func(i int) Time, fire func(i int)) {
 	if n <= 0 {
 		return
 	}
-	e.Reserve(n)
+	if at == nil || fire == nil {
+		panic("sim: nil batch function")
+	}
+	seq0 := e.nextSeq + 1
+	var runs []batchRun
+	var prev Time
 	for i := 0; i < n; i++ {
-		at, fn := item(i)
-		e.At(at, fn)
+		t := at(i)
+		if t < e.now {
+			panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
+		}
+		if i == 0 || t < prev {
+			runs = append(runs, batchRun{at: at, fire: fire, seq0: seq0, next: i})
+		}
+		runs[len(runs)-1].end = i + 1
+		prev = t
+	}
+	e.nextSeq += int64(n)
+	e.live += n
+	for k := range runs {
+		r := &runs[k]
+		slot := e.push(at(r.next), seq0+int64(r.next))
+		e.slab[slot].run = r
 	}
 }
 
@@ -486,13 +546,36 @@ func (e *Engine) Step() bool {
 	if !ok {
 		return false
 	}
+	e.live--
+	e.now = top.time
+	if r := e.slab[top.slot].run; r != nil {
+		e.stepRun(r, top)
+		return true
+	}
 	fn := e.slab[top.slot].fn
 	e.popTop()
-	e.live--
 	e.freeSlot(top.slot)
-	e.now = top.time
 	fn()
 	return true
+}
+
+// stepRun fires the head of a batch run that sits at the heap top. The
+// successor, whose key is strictly greater, replaces the head in place —
+// one sift instead of a pop and a push — and keeps the run's slot.
+func (e *Engine) stepRun(r *batchRun, top heapNode) {
+	i := r.next
+	if r.next++; r.next < r.end {
+		t := r.at(r.next)
+		if t < top.time {
+			panic(fmt.Sprintf("sim: batch item %d moved to %d, before its run predecessor at %d", r.next, t, top.time))
+		}
+		e.heap[0] = heapNode{time: t, seq: r.seq0 + int64(r.next), slot: top.slot}
+		e.siftDown(0)
+	} else {
+		e.popTop()
+		e.freeSlot(top.slot)
+	}
+	r.fire(i)
 }
 
 // cancelCheckEvery is how many events execute between context checks in

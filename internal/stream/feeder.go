@@ -41,20 +41,23 @@ type Action struct {
 	Run   func()
 }
 
-// record is the Feeder's internal unit: deliver run at time at, raising
-// the lookahead by delta.
+// record is the Feeder's internal unit, delivered at time at and raising
+// the lookahead by delta: a job lane's record carries its own copy of
+// the job for the lane's deliver func, an action lane's record its run.
 type record struct {
 	at    sim.Time
 	delta sim.Time
+	job   *job.Job
 	run   func()
 }
 
 // lane is one ordered stream of records with an optional start hook
 // issued immediately before its first record.
 type lane struct {
-	name  string
-	next  func() (record, error) // io.EOF ends the lane
-	start func(first sim.Time)
+	name    string
+	next    func() (record, error) // io.EOF ends the lane
+	start   func(first sim.Time)
+	deliver func(*job.Job) // job lanes only
 
 	peek      record
 	hasPeek   bool
@@ -110,8 +113,9 @@ func (f *Feeder) AddJobs(name string, src Source, start func(first sim.Time), de
 	seeded := false
 	var lastSubmit int64
 	f.lanes = append(f.lanes, &lane{
-		name:  name,
-		start: start,
+		name:    name,
+		start:   start,
+		deliver: deliver,
 		next: func() (record, error) {
 			j, err := src.Next()
 			if err != nil {
@@ -122,7 +126,7 @@ func (f *Feeder) AddJobs(name string, src Source, start func(first sim.Time), de
 			}
 			seeded, lastSubmit = true, j.Submit
 			cp := j
-			return record{at: sim.Time(j.Submit), delta: sim.Time(j.Runtime), run: func() { deliver(&cp) }}, nil
+			return record{at: sim.Time(j.Submit), delta: sim.Time(j.Runtime), job: &cp}, nil
 		},
 	})
 	return nil
@@ -229,16 +233,23 @@ func (f *Feeder) refill() {
 				ln.start(ln.buf[0].at)
 			}
 		}
-		buf := ln.buf
-		f.engine.ScheduleBatch(len(buf), func(i int) (sim.Time, func()) {
-			rec := buf[i]
-			return rec.at, func() {
+		// The batch holds buf until its last record is delivered, so the
+		// lane never reuses it: the next round fills a fresh buffer sized
+		// like this one, with slack so a slightly larger round does not
+		// regrow it.
+		buf, deliver := ln.buf, ln.deliver
+		f.engine.ScheduleBatch(len(buf),
+			func(i int) sim.Time { return buf[i].at },
+			func(i int) {
 				f.resident--
 				f.delivered++
-				rec.run()
-			}
-		})
-		ln.buf = nil
+				if rec := &buf[i]; rec.job != nil {
+					deliver(rec.job)
+				} else {
+					rec.run()
+				}
+			})
+		ln.buf = make([]record, 0, len(buf)+len(buf)/4)
 	}
 	for _, ln := range f.lanes {
 		if !ln.eof || ln.hasPeek {

@@ -1,9 +1,9 @@
 package stream
 
 import (
-	"fmt"
 	"io"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/job"
 )
@@ -36,6 +36,7 @@ type Gen struct {
 	rng  *rand.Rand
 	next int64
 	i    int
+	name []byte // scratch for building job names
 }
 
 // NewGen creates a generator source from cfg.
@@ -55,9 +56,10 @@ func (g *Gen) Next() (job.Job, error) {
 		return job.Job{}, io.EOF
 	}
 	g.i++
+	g.name = strconv.AppendInt(append(g.name[:0], "gen-"...), int64(g.i), 10)
 	j := job.Job{
 		ID:      g.i,
-		Name:    fmt.Sprintf("gen-%d", g.i),
+		Name:    string(g.name),
 		Class:   job.HTC,
 		Submit:  g.next,
 		Runtime: 1 + g.rng.Int63n(g.cfg.MaxRuntime),

@@ -182,7 +182,7 @@ func ServerAgg(wl *Workload, srv Served) func(sim.Time) ProviderAgg {
 }
 
 // FeedJobs delivers wl's HTC jobs to submit: from the materialized slice
-// in one pre-sized batch when f is nil, otherwise through f from src
+// as one engine batch when f is nil, otherwise through f from src
 // (wl's own slice replayed when src is nil). start, when set, runs at
 // the first submission before any job arrives.
 func FeedJobs(engine *sim.Engine, f *stream.Feeder, wl *Workload, src stream.Source, start func(first sim.Time), submit func(*job.Job)) error {
@@ -195,10 +195,10 @@ func FeedJobs(engine *sim.Engine, f *stream.Feeder, wl *Workload, src stream.Sou
 	if start != nil {
 		start(wl.FirstSubmit())
 	}
-	engine.ScheduleBatch(len(wl.Jobs), func(i int) (sim.Time, func()) {
-		j := &wl.Jobs[i]
-		return j.Submit, func() { submit(j) }
-	})
+	jobs := wl.Jobs
+	engine.ScheduleBatch(len(jobs),
+		func(i int) sim.Time { return jobs[i].Submit },
+		func(i int) { submit(&jobs[i]) })
 	return nil
 }
 
