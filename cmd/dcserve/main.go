@@ -70,8 +70,29 @@ import (
 	"repro/internal/service/api"
 )
 
+// Connection timeouts. A client must finish its request headers within
+// readHeaderTimeout, and an idle keep-alive connection closes after
+// idleTimeout, so slow or silent clients cannot hold connections open
+// forever. Request bodies and responses stay unbounded in time: NDJSON
+// task uploads wait on backpressure and event streams run for a whole
+// run.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	os.Exit(run(os.Args[1:]))
+}
+
+// newHTTPServer builds the service's HTTP server around h.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 func run(args []string) int {
@@ -135,10 +156,7 @@ func run(args []string) int {
 	if !*quiet {
 		apiOpts = append(apiOpts, api.WithLog(os.Stderr))
 	}
-	srv := &http.Server{
-		Addr:    *addr,
-		Handler: api.New(eng, apiOpts...),
-	}
+	srv := newHTTPServer(*addr, api.New(eng, apiOpts...))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

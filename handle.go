@@ -407,8 +407,9 @@ func (e *Engine) buildScenarioRequest(req SubmitRequest, cfg runConfig) (service
 				}
 				c.Sources[name] = src
 			}
-			// A feeder blocked in a live source's Next cannot observe ctx;
-			// cancellation must reach it through the feed.
+			// A lane blocked in a live source's Next, at attach or mid-run,
+			// cannot observe ctx; cancellation must reach it through the
+			// feed.
 			stop := context.AfterFunc(ctx, func() { f.FailAll(context.Cause(ctx)) })
 			defer stop()
 			return c.RunContext(ctx, workers, sink)

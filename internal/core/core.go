@@ -91,7 +91,7 @@ func (x *Instance) AttachStream(wl *systems.Workload, src stream.Source, f *stre
 }
 
 // attach creates wl's thin runtime environment and feeds it, from the
-// materialized job slice when f is nil (HTC jobs arrive individually;
+// materialized job slice when src is nil (HTC jobs arrive individually;
 // MTC workflows are submitted whole at their first task's submission).
 func (x *Instance) attach(wl *systems.Workload, src stream.Source, f *stream.Feeder) error {
 	if err := x.Admit(wl, src); err != nil {
@@ -113,8 +113,9 @@ func (x *Instance) attach(wl *systems.Workload, src stream.Source, f *stream.Fee
 		return err
 	}
 	x.Collect(systems.ServerAgg(wl, srv))
-	return systems.FeedActions(x.Sim, f, wl, systems.MTCWorkflowActions(srv.SubmitWorkflow, wl.Name, wl.Jobs, "core"),
+	systems.FeedActions(x.Sim, wl, systems.MTCWorkflowActions(srv.SubmitWorkflow, wl.Name, wl.Jobs, "core"),
 		x.createTRE(wl.Name, "MTC", srv.Start))
+	return nil
 }
 
 // createTRE issues the CSF create-and-start lifecycle for a thin runtime

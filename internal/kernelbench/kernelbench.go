@@ -136,7 +136,6 @@ type engineAPI struct {
 	cancel   func(id int64) bool
 	every    func(interval int64, fn func()) func()
 	runAll   func()
-	reserve  func(n int)
 }
 
 // actor is one self-rescheduling event chain. Its callback is bound once
@@ -178,7 +177,6 @@ func drive(api engineAPI, events int64) int64 {
 	const tickers = 16
 	var executed int64
 	remaining := events
-	api.reserve(actors)
 	slab := make([]actor, actors)
 	for i := range slab {
 		a := &slab[i]
@@ -229,7 +227,6 @@ func fastAPI() engineAPI {
 		cancel:   func(id int64) bool { return e.Cancel(sim.EventID(id)) },
 		every:    e.Every,
 		runAll:   e.RunAll,
-		reserve:  e.Reserve,
 	}
 }
 
@@ -240,7 +237,6 @@ func refAPI() engineAPI {
 		cancel:   e.Cancel,
 		every:    e.Every,
 		runAll:   e.RunAll,
-		reserve:  func(int) {},
 	}
 }
 

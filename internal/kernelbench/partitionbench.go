@@ -79,12 +79,10 @@ func seedShard(e *sim.Engine, first, count, tickers int, events int64) *int64 {
 		cancel:   func(id int64) bool { return e.Cancel(sim.EventID(id)) },
 		every:    e.Every,
 		runAll:   e.RunAll,
-		reserve:  e.Reserve,
 	}
 	executed := new(int64)
 	remaining := new(int64)
 	*remaining = events
-	api.reserve(count)
 	slab := make([]actor, count)
 	apiBox := new(engineAPI)
 	*apiBox = api

@@ -95,11 +95,11 @@ type Spec struct {
 	// and reported per instance and merged.
 	Federation *FederationSpec `json:"federation,omitempty"`
 	// Stream optionally routes every cell through the streamed
-	// execution path (systems.Feed): workloads feed the kernel in
-	// bounded batches, base cells emit incremental per-window reports,
-	// and providers may declare kind-"live" sources fed over the run
-	// service's task-ingestion endpoint. Results are byte-identical to
-	// the materialized path for the same jobs.
+	// execution path (systems.Feed): base cells emit incremental
+	// per-window reports, and providers may declare kind-"live" sources
+	// fed over the run service's task-ingestion endpoint, each pulled
+	// as one kernel lane holding one record at a time. Results are
+	// byte-identical to the materialized path for the same jobs.
 	Stream *StreamSpec `json:"stream,omitempty"`
 }
 
@@ -108,9 +108,10 @@ type StreamSpec struct {
 	// Enabled switches every cell to the streamed path. Required true
 	// when any provider uses a live source.
 	Enabled bool `json:"enabled"`
-	// StrideSeconds and LookaheadSeconds tune the feeder's refill
-	// rounds (0 takes stream's defaults). Results are invariant to
-	// both; they trade resident-task memory against refill frequency.
+	// StrideSeconds and LookaheadSeconds are accepted and ignored: they
+	// tuned the streamed path's retired lookahead rounds, and specs and
+	// write-ahead logs written with them must still load. Negative
+	// values are still rejected.
 	StrideSeconds    int64 `json:"stride_seconds,omitempty"`
 	LookaheadSeconds int64 `json:"lookahead_seconds,omitempty"`
 	// WindowSeconds is the incremental reporting period in virtual
@@ -120,7 +121,10 @@ type StreamSpec struct {
 	WindowSeconds int64 `json:"window_seconds,omitempty"`
 	// BufferTasks bounds each live source's ingestion buffer in tasks
 	// (the backpressure point of the NDJSON endpoint); 0 takes
-	// stream.DefaultLiveBuffer.
+	// stream.DefaultLiveBuffer. Several live lanes fed as one
+	// interleaved, submit-sorted stream finish when no lane has more
+	// than BufferTasks records between two consecutive records of
+	// another, or before another's first.
 	BufferTasks int `json:"buffer_tasks,omitempty"`
 }
 

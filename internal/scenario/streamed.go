@@ -12,23 +12,16 @@ import (
 )
 
 // feed builds the cell's streamed-run configuration, nil unless the spec
-// is streamed: the workloads feed the kernel through bounded-lookahead
-// feeders, live providers draw from their attached sources, and base
-// cells carry the read-only per-window reporter. Results are
+// is streamed: live providers draw from their attached sources as kernel
+// lanes, every other workload attaches materialized, and base cells
+// carry the read-only per-window reporter. Results are
 // byte-identical to the materialized path for the same jobs, so the
 // cache key and the report shape do not change.
 func (e *engine) feed(c cell) (*systems.Feed, error) {
 	if !e.c.Spec.Streamed() {
 		return nil, nil
 	}
-	st := e.c.Spec.Stream
-	feed := &systems.Feed{
-		Options: stream.Options{
-			Stride:       sim.Time(st.StrideSeconds),
-			MinLookahead: sim.Time(st.LookaheadSeconds),
-		},
-		Window: e.windows.window,
-	}
+	feed := &systems.Feed{Window: e.windows.window}
 	if len(e.c.Live) > 0 {
 		// Spec validation pins live scenarios to a single system with no
 		// sweeps, so exactly one cell — this one — consumes the feeds.

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -260,4 +261,21 @@ func containsSub(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// TestRetiredStreamKnobsStillDecode pins that specs written with the
+// retired lookahead knobs still load — strict decoding would otherwise
+// reject persisted specs — while their range checks still hold.
+func TestRetiredStreamKnobsStillDecode(t *testing.T) {
+	const spec = `{"name": "x", "systems": ["SSP"],
+		"providers": [{"name": "p", "source": {"kind": "synth", "model": "nasa"}}],
+		"stream": {"enabled": true, "stride_seconds": %d, "lookahead_seconds": %d}}`
+	if _, err := ParseBytes([]byte(fmt.Sprintf(spec, 600, 7200))); err != nil {
+		t.Errorf("spec with stride and lookahead rejected: %v", err)
+	}
+	for _, bad := range [][2]int{{-1, 0}, {0, -1}} {
+		if _, err := ParseBytes([]byte(fmt.Sprintf(spec, bad[0], bad[1]))); err == nil {
+			t.Errorf("negative stride/lookahead %v accepted", bad)
+		}
+	}
 }

@@ -571,10 +571,11 @@ type taskResponse struct {
 	Error    string `json:"error,omitempty"`
 }
 
-// handleTasks ingests NDJSON task records (stream.TaskRecord lines)
-// into a live-fed run's task feed. Validation is strict and per record
-// — unknown fields, structural problems and submit-order violations
-// reject with 400 at the offending line — and backpressure is explicit:
+// handleTasks ingests NDJSON task records (stream.TaskRecord lines, read
+// by stream.TaskReader) into a live-fed run's task feed. Validation is
+// strict and per record — oversized lines, unknown fields, structural
+// problems and submit-order violations reject with 400 naming the
+// offending record — and backpressure is explicit:
 // a full lane buffer answers 503 with Retry-After, and the accepted
 // count in the body tells the client where to resume. The explicit
 // end-of-stream record {"end":true} closes the lane(s); without it the
@@ -592,8 +593,7 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 			"run %s takes no tasks (only non-terminal runs of scenarios with live providers do)", id)
 		return
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
+	tasks := stream.NewTaskReader(r.Body)
 	accepted := 0
 	fail := func(code int, format string, args ...any) {
 		writeJSON(w, code, taskResponse{
@@ -602,14 +602,15 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 			Error:    fmt.Sprintf(format, args...),
 		})
 	}
-	for line := 1; ; line++ {
-		var rec stream.TaskRecord
-		if err := dec.Decode(&rec); err == io.EOF {
+	for {
+		rec, err := tasks.Next()
+		if err == io.EOF {
 			break
 		} else if err != nil {
-			fail(http.StatusBadRequest, "record %d: %v", line, err)
+			fail(http.StatusBadRequest, "%v", err)
 			return
 		}
+		line := tasks.Record()
 		if rec.End {
 			if err := closeLanes(feed, rec.Workload); err != nil {
 				fail(http.StatusBadRequest, "record %d: %v", line, err)

@@ -160,16 +160,23 @@ func TestTaskValidation(t *testing.T) {
 		}
 	}()
 
+	oversized := `{"id":3,"submit":200,"runtime":60,"nodes":1,"name":"` +
+		strings.Repeat("x", stream.MaxTaskRecordBytes) + `"}`
 	cases := []struct {
 		name, body string
 		code       int
 		accepted   int
+		errSub     string
 	}{
-		{"unknown field", `{"id":1,"submit":0,"runtime":60,"nodes":1,"bogus":true}`, http.StatusBadRequest, 0},
-		{"structurally invalid", `{"id":1,"submit":0,"runtime":60,"nodes":0}`, http.StatusBadRequest, 0},
-		{"unknown lane", `{"id":1,"submit":0,"runtime":60,"nodes":1,"workload":"nope"}`, http.StatusBadRequest, 0},
+		{"unknown field", `{"id":1,"submit":0,"runtime":60,"nodes":1,"bogus":true}`, http.StatusBadRequest, 0, "record 1"},
+		{"structurally invalid", `{"id":1,"submit":0,"runtime":60,"nodes":0}`, http.StatusBadRequest, 0, "record 1"},
+		{"unknown lane", `{"id":1,"submit":0,"runtime":60,"nodes":1,"workload":"nope"}`, http.StatusBadRequest, 0, "record 1"},
 		{"submit order", `{"id":1,"submit":100,"runtime":60,"nodes":1}` + "\n" +
-			`{"id":2,"submit":50,"runtime":60,"nodes":1}`, http.StatusBadRequest, 1},
+			`{"id":2,"submit":50,"runtime":60,"nodes":1}`, http.StatusBadRequest, 1, "record 2"},
+		{"oversized record", `{"id":2,"submit":150,"runtime":60,"nodes":1}` + "\n\n" + oversized,
+			http.StatusBadRequest, 1, "record 2: longer than"},
+		{"two records on a line", `{"id":4,"submit":300,"runtime":60,"nodes":1} {"id":5,"submit":300,"runtime":60,"nodes":1}`,
+			http.StatusBadRequest, 0, "record 1: trailing data"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -180,8 +187,8 @@ func TestTaskValidation(t *testing.T) {
 			if tr.Accepted != tc.accepted {
 				t.Fatalf("accepted %d, want %d", tr.Accepted, tc.accepted)
 			}
-			if tr.Error == "" {
-				t.Fatalf("error body missing")
+			if !strings.Contains(tr.Error, tc.errSub) {
+				t.Fatalf("error %q does not name %q", tr.Error, tc.errSub)
 			}
 		})
 	}

@@ -18,6 +18,7 @@ type kernelOps struct {
 	schedule func(d int64, fn func()) int64
 	cancel   func(id int64) bool
 	batch    func(n int, at func(i int) int64, fire func(i int))
+	lane     func(times []int64, fire func(i int))
 	every    func(interval int64, fn func()) func()
 	stop     func()
 	run      func(until int64)
@@ -34,15 +35,45 @@ func refBatch(e *refheap.Engine) func(n int, at func(i int) int64, fire func(i i
 	}
 }
 
+// refLane replays a lane on the reference kernel as one At call per item,
+// all issued when the lane is queued.
+func refLane(e *refheap.Engine) func(times []int64, fire func(i int)) {
+	return func(times []int64, fire func(i int)) {
+		for i, t := range times {
+			e.At(t, func() { fire(i) })
+		}
+	}
+}
+
+// fastLane feeds a lane's items to the fast kernel one at a time,
+// counting in backlog the items not yet handed over, so that Len plus
+// backlog is comparable with the reference kernel's queue length.
+func fastLane(e *Engine, backlog *int) func(times []int64, fire func(i int)) {
+	return func(times []int64, fire func(i int)) {
+		*backlog += len(times) - 1
+		i := 0
+		e.Lane(times[0], func() (Time, bool) {
+			fire(i)
+			if i++; i == len(times) {
+				return 0, false
+			}
+			*backlog--
+			return times[i], true
+		})
+	}
+}
+
 func fastOps(e *Engine) kernelOps {
+	backlog := 0
 	return kernelOps{
 		name:     "fast",
 		now:      e.Now,
-		length:   e.Len,
+		length:   func() int { return e.Len() + backlog },
 		at:       func(t int64, fn func()) int64 { return int64(e.At(t, fn)) },
 		schedule: func(d int64, fn func()) int64 { return int64(e.Schedule(d, fn)) },
 		cancel:   func(id int64) bool { return e.Cancel(EventID(id)) },
 		batch:    e.ScheduleBatch,
+		lane:     fastLane(e, &backlog),
 		every:    e.Every,
 		stop:     e.Stop,
 		run:      e.Run,
@@ -59,6 +90,7 @@ func refOps(e *refheap.Engine) kernelOps {
 		schedule: e.Schedule,
 		cancel:   e.Cancel,
 		batch:    refBatch(e),
+		lane:     refLane(e),
 		every:    e.Every,
 		stop:     e.Stop,
 		run:      e.Run,
@@ -74,14 +106,16 @@ func refOps(e *refheap.Engine) kernelOps {
 // compose back into Run/RunAll semantics.
 func fastStepOps(e *Engine) kernelOps {
 	stopped := false
+	backlog := 0
 	return kernelOps{
 		name:     "fast-step",
 		now:      e.Now,
-		length:   e.Len,
+		length:   func() int { return e.Len() + backlog },
 		at:       func(t int64, fn func()) int64 { return int64(e.At(t, fn)) },
 		schedule: func(d int64, fn func()) int64 { return int64(e.Schedule(d, fn)) },
 		cancel:   func(id int64) bool { return e.Cancel(EventID(id)) },
 		batch:    e.ScheduleBatch,
+		lane:     fastLane(e, &backlog),
 		every:    e.Every,
 		stop:     func() { stopped = true },
 		run: func(until int64) {
@@ -115,6 +149,7 @@ func refStepOps(e *refheap.Engine) kernelOps {
 		schedule: e.Schedule,
 		cancel:   e.Cancel,
 		batch:    refBatch(e),
+		lane:     refLane(e),
 		every:    e.Every,
 		stop:     func() { stopped = true },
 		run: func(until int64) {
@@ -147,7 +182,7 @@ type traceEntry struct {
 }
 
 // script replays one seeded schedule — initial events that spawn children
-// and cancel peers, sorted and unsorted batches, periodic timers that
+// and cancel peers, sorted and unsorted batches, lanes, periodic timers that
 // stop themselves, mid-run Stop calls, segmented Run windows — against a
 // kernel, returning the full observable trace. Every random draw comes
 // from generator state advanced identically on both kernels as long as
@@ -187,6 +222,20 @@ func script(seed int64, ops kernelOps) []traceEntry {
 				ops.batch(len(times), func(i int) int64 { return times[i] }, func(i int) {
 					childTag := tag*31 + int64(i) + 7
 					fire(childTag, depth+1, behavior*137+int64(i))()
+				})
+			}
+			if depth < 2 && r.Int63n(8) == 1 {
+				// A lane queued from inside an event, its first item
+				// possibly at now.
+				times := make([]int64, 1+r.Intn(5))
+				t := ops.now()
+				for i := range times {
+					t += r.Int63n(2) * r.Int63n(60)
+					times[i] = t
+				}
+				ops.lane(times, func(i int) {
+					childTag := tag*31 + int64(i) + 13
+					fire(childTag, depth+1, behavior*139+int64(i))()
 				})
 			}
 			if r.Int63n(4) == 0 && len(ids) > 0 {
@@ -231,6 +280,23 @@ func script(seed int64, ops kernelOps) []traceEntry {
 	batch(40_000, 150, true)
 	batch(41_000, 60, false)
 
+	// lane queues n sorted items, tied with each other and with At and
+	// batch events, fed to the fast kernel one at a time.
+	lane := func(tag0 int64, n int) {
+		times := make([]int64, n)
+		t := ops.now()
+		for i := range times {
+			t += rng.Int63n(3) * rng.Int63n(40)
+			times[i] = t
+		}
+		ops.lane(times, func(i int) {
+			tag := tag0 + int64(i)
+			fire(tag, 1, seed*397+tag)()
+		})
+	}
+	lane(42_000, 120)
+	lane(43_000, 80)
+
 	// Periodic timers that stop themselves after a few ticks, plus one
 	// stopped externally mid-run and one stopped twice (a no-op).
 	for k := 0; k < 4; k++ {
@@ -268,6 +334,7 @@ func script(seed int64, ops kernelOps) []traceEntry {
 		id := ops.at(ops.now()+rng.Int63n(200), fire(30_000+until, 1, seed+until))
 		ids = append(ids, id)
 		batch(50_000+until*100, 1+rng.Intn(40), rng.Intn(2) == 0)
+		lane(60_000+until*100, 1+rng.Intn(30))
 	}
 	ops.run(3_000)
 	stopExt()
@@ -278,7 +345,7 @@ func script(seed int64, ops kernelOps) []traceEntry {
 }
 
 // TestKernelDifferentialTrace replays seeded schedules — random
-// Cancel/Every/Stop/At interleavings included — through the fast kernel
+// Cancel/Every/Stop/At/batch/lane interleavings included — through the fast kernel
 // and the refheap reference kernel and requires identical observable
 // traces: same events, same order, same virtual timestamps, same Cancel
 // outcomes, same final clock and queue length.

@@ -5,15 +5,17 @@ import (
 )
 
 // FuzzEventOrder feeds arbitrary byte programs to the kernel — schedule,
-// cancel, run-segment, foreign-cancel and batch opcodes — and checks the
-// heap's core invariants on whatever schedule results:
+// cancel, run-segment, foreign-cancel, batch and lane opcodes — and
+// checks the heap's core invariants on whatever schedule results:
 //
 //   - every event fires at the time it was scheduled for;
 //   - events pop in nondecreasing virtual time;
-//   - same-time events pop FIFO (in schedule order), batch items
-//     included;
+//   - same-time events pop FIFO (in schedule order), batch and lane
+//     items included, a lane's items taking the issue order of the
+//     moment the lane was queued;
 //   - exactly the scheduled-minus-cancelled events fire;
-//   - after every op, Len equals scheduled minus fired minus cancelled.
+//   - after every op, Len equals scheduled minus fired minus cancelled,
+//     less the lane items not yet queued behind each lane's current one.
 func FuzzEventOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 10, 0, 10, 0, 5, 1, 0, 2, 20})
@@ -23,6 +25,9 @@ func FuzzEventOrder(f *testing.F) {
 	// events and cancels between them.
 	f.Add([]byte{0, 3, 4, 0x85, 0, 1, 0, 2, 3, 4, 3, 0, 2, 7, 1, 0, 4, 0x04, 9, 0, 9, 3, 1, 2, 2, 1})
 	f.Add([]byte{4, 0x8f, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 0, 0, 0, 1, 2, 3, 2, 5, 4, 3, 30, 20, 10, 0})
+	// Lanes: tied with At events and a batch, fed across run segments.
+	f.Add([]byte{0, 2, 5, 4, 0, 2, 0, 1, 0, 2, 4, 0x82, 0, 2, 1, 5, 2, 3, 3, 0, 2, 1, 0, 1, 2, 9})
+	f.Add([]byte{5, 15, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 0, 0, 2, 4, 5, 0, 0, 0, 2, 255})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		e := New()
 		type firing struct {
@@ -33,6 +38,7 @@ func FuzzEventOrder(f *testing.F) {
 		var ids []EventID
 		seq := 0
 		scheduled, cancelled := 0, 0
+		backlog := 0 // lane items behind their lane's queued one
 
 		step := 0
 		next := func() (byte, bool) {
@@ -49,7 +55,7 @@ func FuzzEventOrder(f *testing.F) {
 				break
 			}
 			arg, _ := next()
-			switch op % 5 {
+			switch op % 6 {
 			case 0: // schedule at now+arg
 				mySeq, want := seq, e.Now()+Time(arg)
 				seq++
@@ -91,10 +97,33 @@ func FuzzEventOrder(f *testing.F) {
 				e.ScheduleBatch(n, func(i int) Time { return times[i] }, func(i int) {
 					fired = append(fired, firing{time: e.Now(), want: times[i], seq: seq0 + i})
 				})
+			case 5: // lane of 1+arg%16 items, fed lazily; each byte is a gap
+				// (zero gaps tie), so the first item may land at now
+				n := 1 + int(arg%16)
+				times := make([]Time, n)
+				t0 := e.Now()
+				for i := range times {
+					b, _ := next()
+					t0 += Time(b % 4)
+					times[i] = t0
+				}
+				seq0 := seq
+				seq += n
+				scheduled += n
+				backlog += n - 1
+				i := 0
+				e.Lane(times[0], func() (Time, bool) {
+					fired = append(fired, firing{time: e.Now(), want: times[i], seq: seq0 + i})
+					if i++; i == n {
+						return 0, false
+					}
+					backlog--
+					return times[i], true
+				})
 			}
-			if got, want := e.Len(), scheduled-len(fired)-cancelled; got != want {
-				t.Fatalf("after op %d: Len() = %d, want scheduled %d - fired %d - cancelled %d = %d",
-					op%5, got, scheduled, len(fired), cancelled, want)
+			if got, want := e.Len(), scheduled-len(fired)-cancelled-backlog; got != want {
+				t.Fatalf("after op %d: Len() = %d, want scheduled %d - fired %d - cancelled %d - lane backlog %d = %d",
+					op%6, got, scheduled, len(fired), cancelled, backlog, want)
 			}
 		}
 		e.RunAll()

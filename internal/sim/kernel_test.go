@@ -266,31 +266,6 @@ func TestSortedBatchDrainKeepsOneNode(t *testing.T) {
 	}
 }
 
-// TestReservePreGrowsWithoutScheduling checks Reserve is purely a
-// capacity hint: no events appear, and a subsequent bulk feed fits the
-// reserved arrays without reallocation.
-func TestReservePreGrowsWithoutScheduling(t *testing.T) {
-	e := New()
-	e.Reserve(1000)
-	if e.Len() != 0 {
-		t.Fatalf("Reserve scheduled something: Len = %d", e.Len())
-	}
-	if cap(e.heap) < 1000 || cap(e.slab) < 1000 {
-		t.Fatalf("Reserve(1000) left caps heap=%d slab=%d", cap(e.heap), cap(e.slab))
-	}
-	heapCap, slabCap := cap(e.heap), cap(e.slab)
-	fired := 0
-	e.ScheduleBatch(1000, func(i int) Time { return Time(i % 37) }, func(int) { fired++ })
-	if cap(e.heap) != heapCap || cap(e.slab) != slabCap {
-		t.Errorf("batch within reservation reallocated: heap %d->%d, slab %d->%d",
-			heapCap, cap(e.heap), slabCap, cap(e.slab))
-	}
-	e.RunAll()
-	if fired != 1000 {
-		t.Fatalf("fired = %d, want 1000", fired)
-	}
-}
-
 // TestEveryStopIsIdempotentAndStaleStopInert covers the pooled-ticker
 // hazards: stopping twice is a no-op, and a stop function retained after
 // its ticker was recycled into a new Every must not stop the new timer.

@@ -176,15 +176,13 @@ func TestRunErrors(t *testing.T) {
 }
 
 // TestReserveUnderPartitioning is the allocation regression for
-// partitioned runs: an engine whose queue was pre-grown with Reserve
-// must execute through the partition driver without per-event heap
-// growth — the driver's advance loop is as allocation-free as the serial
-// kernel's.
+// partitioned runs: engines fed sorted batches must execute through the
+// partition driver without per-event allocation — the driver's advance
+// loop is as allocation-free as the serial kernel's.
 func TestReserveUnderPartitioning(t *testing.T) {
 	const events = 20000
 	engines := []*sim.Engine{sim.New(), sim.New()}
 	for pi, e := range engines {
-		e.Reserve(events) // explicit, as a feed of individual At calls would
 		eng, base := e, sim.Time(pi)
 		eng.ScheduleBatch(events,
 			func(i int) sim.Time { return base + sim.Time(2*i) },
@@ -202,6 +200,6 @@ func TestReserveUnderPartitioning(t *testing.T) {
 	// The budget is loose (goroutine spawns, MemStats noise) but far
 	// below 1: a per-event allocation would blow straight through it.
 	if perEvent > 0.25 {
-		t.Errorf("allocs per event = %.3f, want <= 0.25 on pre-reserved engines", perEvent)
+		t.Errorf("allocs per event = %.3f, want <= 0.25 on batch-fed engines", perEvent)
 	}
 }

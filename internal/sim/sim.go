@@ -21,20 +21,20 @@
 //     pop in schedule order (FIFO) and the comparator is a total order —
 //     pop order is independent of the heap's internal shape.
 //   - slab entries are reused through a free list, so steady-state
-//     scheduling performs no per-event allocation; Reserve pre-sizes
-//     both arrays for a feed of many individual At calls.
-//   - ScheduleBatch feeds pre-sorted arrivals as lazy runs. It reserves
-//     one issue number per item up front (item i of a batch issued at
-//     seq s takes s+i), splits the batch into maximal runs of
-//     nondecreasing time, and queues only each run's head. When a head
-//     fires, its successor takes the head's heap node and slab slot under
-//     its reserved seq, and only then does the item's callback run. A
-//     successor's key is greater than its predecessor's, and (time, seq)
-//     is a total order, so the pop order is exactly that of one At call
-//     per item — for sorted, tied and unsorted input alike. A sorted
-//     million-job feed thus holds one heap node and allocates nothing per
-//     job. The contract that makes this sound: at(i) returns the same
-//     time from the ScheduleBatch call until item i fires.
+//     scheduling performs no per-event allocation.
+//   - A lane is a lazily fed, time-sorted sequence of events that holds
+//     one heap node and one issue number s, drawn when the lane is
+//     queued. Only the lane's current event is queued, keyed (time, s);
+//     when it fires, the lane names its next event, which takes the same
+//     node and the same s. Every other event was issued either before s
+//     or after it, and a lane's next key is never below its current one,
+//     so the pop order is exactly that of one At call per lane event, all
+//     issued when the lane was — ordering by construction, whatever the
+//     lane's length. Stream sources feed the kernel this way
+//     (internal/stream), and ScheduleBatch is the finite case: each
+//     maximal nondecreasing run of a batch is one lane over its index
+//     range, so a sorted million-job feed holds one heap node and
+//     allocates nothing per job.
 //   - EventIDs pack (slot+1, generation). The generation increments every
 //     time a slot is freed, so a stale ID — already fired, already
 //     cancelled, or from another engine — can never reach a reused slot:
@@ -50,11 +50,12 @@
 //
 // Invariants checked by the property/fuzz suite (see fuzz_test.go and
 // diff_test.go): pops are nondecreasing in time and FIFO-stable per
-// timestamp; Len, which counts every unfired batch item, equals
-// scheduled minus fired minus cancelled; and any seeded schedule,
-// batches included, replays on this kernel with event order, timestamps
-// and side effects identical to the original container/heap kernel
-// preserved in internal/sim/refheap (where a batch is n At calls).
+// timestamp; Len, which counts every unfired batch item and a lane's
+// queued event as one, equals scheduled minus fired minus cancelled; and
+// any seeded schedule, batches and lanes included, replays on this kernel
+// with event order, timestamps and side effects identical to the
+// original container/heap kernel preserved in internal/sim/refheap
+// (where a batch or a lane is one At call per item, issued up front).
 //
 // # Partitioned runs
 //
@@ -127,20 +128,9 @@ func unpackID(id EventID) (slot int, gen uint32, ok bool) {
 // or sits on the free list (fired/compacted/skipped).
 type event struct {
 	fn   func()
-	run  *batchRun // non-nil for the head of a ScheduleBatch run
-	gen  uint32    // bumped on every free; stale-ID guard
+	lane func() (Time, bool) // non-nil for a lane's current event
+	gen  uint32              // bumped on every free; stale-ID guard
 	live bool
-}
-
-// batchRun is one maximal nondecreasing run of a ScheduleBatch: items
-// next..end-1, whose issue numbers are seq0+i. Only the run's current
-// head occupies a heap node and a slab slot.
-type batchRun struct {
-	at   func(i int) Time
-	fire func(i int)
-	seq0 int64
-	next int
-	end  int
 }
 
 // heapNode is one heap entry. The ordering key (time, seq) lives in the
@@ -178,9 +168,12 @@ type Engine struct {
 	slab    []event
 	free    []int32 // slab slots ready for reuse
 	nextSeq int64
-	live    int // scheduled and not cancelled
+	live    int // queued and not cancelled
 	dead    int // cancelled but still occupying a heap position
-	stopped bool
+	// unqueued counts batch items behind their run's current event: not
+	// yet in the heap, but pending for Len.
+	unqueued int
+	stopped  bool
 }
 
 // New returns an engine whose clock starts at time zero.
@@ -190,8 +183,9 @@ func New() *Engine { return &Engine{} }
 func (e *Engine) Now() Time { return e.now }
 
 // Len reports the number of pending (scheduled, uncancelled) events,
-// counting every not-yet-fired item of a ScheduleBatch.
-func (e *Engine) Len() int { return e.live }
+// counting every not-yet-fired item of a ScheduleBatch and a lane's
+// queued event as one.
+func (e *Engine) Len() int { return e.live + e.unqueued }
 
 // siftUp restores the heap property for a new entry at index i.
 func (e *Engine) siftUp(i int) {
@@ -255,7 +249,7 @@ func (e *Engine) popTop() {
 func (e *Engine) freeSlot(slot int32) {
 	ev := &e.slab[slot]
 	ev.fn = nil
-	ev.run = nil
+	ev.lane = nil
 	ev.live = false
 	ev.gen = (ev.gen + 1) & genMask
 	e.free = append(e.free, slot)
@@ -346,42 +340,37 @@ func (e *Engine) push(t Time, seq int64) int32 {
 	return slot
 }
 
-// Reserve pre-grows the queue for n upcoming events, so a feed of many
-// individual At calls triggers at most one allocation for the heap and
-// one for the slab instead of O(log n) progressive growths. A
-// ScheduleBatch needs no reservation: it queues one node per run.
-func (e *Engine) Reserve(n int) {
-	if n <= 0 {
-		return
+// Lane queues a lane (see the package comment) whose first event fires
+// at first. Each firing calls step, which runs the lane's current event
+// and returns the time of its next one, or ok false when the lane has
+// ended. The lane draws its issue number here, so the pop order is that
+// of one At call per lane event made now: same-time lane events fire
+// after earlier-issued events and before later ones. step must not
+// return a time before the event it ran, and must not step the engine.
+// Lane events cannot be cancelled.
+func (e *Engine) Lane(first Time, step func() (next Time, ok bool)) {
+	if first < e.now {
+		panic(fmt.Sprintf("sim: schedule at %d before now %d", first, e.now))
 	}
-	if need := len(e.heap) + n; cap(e.heap) < need {
-		grown := make([]heapNode, len(e.heap), need)
-		copy(grown, e.heap)
-		e.heap = grown
+	if step == nil {
+		panic("sim: nil lane step")
 	}
-	// Free slots will be reused first; only the remainder needs new slab
-	// capacity.
-	if extra := n - len(e.free); extra > 0 {
-		if need := len(e.slab) + extra; cap(e.slab) < need {
-			grown := make([]event, len(e.slab), need)
-			copy(grown, e.slab)
-			e.slab = grown
-		}
-	}
+	e.nextSeq++
+	slot := e.push(first, e.nextSeq)
+	e.slab[slot].lane = step
+	e.live++
 }
 
 // ScheduleBatch schedules n events: item i fires at absolute time at(i)
-// by calling fire(i). Items take n consecutive issue numbers in index
-// order, so the pop order is exactly that of n individual At calls —
-// same-time items fire in index order, after earlier-issued events and
-// before later ones.
+// by calling fire(i). The pop order is exactly that of n individual At
+// calls in index order — same-time items fire in index order, after
+// earlier-issued events and before later ones.
 //
-// The batch is split into maximal runs of nondecreasing at(i), and only
-// each run's head is queued; when a head fires, its successor is queued
-// under its reserved issue number before fire runs. A sorted feed thus
-// costs one heap node and no allocation per item, and a strictly
-// decreasing one degrades to a node per item. at(i) must return the same
-// time from the call until item i fires. Items cannot be cancelled.
+// Each maximal run of nondecreasing at(i) becomes one lane over its index
+// range, queued in index order, so a sorted feed costs one heap node and
+// no allocation per item, and a strictly decreasing one degrades to a
+// node per item. at(i) must return the same time from the call until
+// item i fires. Items cannot be cancelled.
 func (e *Engine) ScheduleBatch(n int, at func(i int) Time, fire func(i int)) {
 	if n <= 0 {
 		return
@@ -389,8 +378,7 @@ func (e *Engine) ScheduleBatch(n int, at func(i int) Time, fire func(i int)) {
 	if at == nil || fire == nil {
 		panic("sim: nil batch function")
 	}
-	seq0 := e.nextSeq + 1
-	var runs []batchRun
+	var starts []int
 	var prev Time
 	for i := 0; i < n; i++ {
 		t := at(i)
@@ -398,17 +386,29 @@ func (e *Engine) ScheduleBatch(n int, at func(i int) Time, fire func(i int)) {
 			panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
 		}
 		if i == 0 || t < prev {
-			runs = append(runs, batchRun{at: at, fire: fire, seq0: seq0, next: i})
+			starts = append(starts, i)
 		}
-		runs[len(runs)-1].end = i + 1
 		prev = t
 	}
-	e.nextSeq += int64(n)
-	e.live += n
-	for k := range runs {
-		r := &runs[k]
-		slot := e.push(at(r.next), seq0+int64(r.next))
-		e.slab[slot].run = r
+	e.unqueued += n - len(starts)
+	for k, i := range starts {
+		end := n
+		if k+1 < len(starts) {
+			end = starts[k+1]
+		}
+		e.Lane(at(i), e.batchRun(at, fire, i, end))
+	}
+}
+
+// batchRun is the lane step of batch items i..end-1.
+func (e *Engine) batchRun(at func(i int) Time, fire func(i int), i, end int) func() (Time, bool) {
+	return func() (Time, bool) {
+		fire(i)
+		if i++; i == end {
+			return 0, false
+		}
+		e.unqueued--
+		return at(i), true
 	}
 }
 
@@ -548,8 +548,8 @@ func (e *Engine) Step() bool {
 	}
 	e.live--
 	e.now = top.time
-	if r := e.slab[top.slot].run; r != nil {
-		e.stepRun(r, top)
+	if step := e.slab[top.slot].lane; step != nil {
+		e.stepLane(step, top)
 		return true
 	}
 	fn := e.slab[top.slot].fn
@@ -559,23 +559,23 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// stepRun fires the head of a batch run that sits at the heap top. The
-// successor, whose key is strictly greater, replaces the head in place —
-// one sift instead of a pop and a push — and keeps the run's slot.
-func (e *Engine) stepRun(r *batchRun, top heapNode) {
-	i := r.next
-	if r.next++; r.next < r.end {
-		t := r.at(r.next)
-		if t < top.time {
-			panic(fmt.Sprintf("sim: batch item %d moved to %d, before its run predecessor at %d", r.next, t, top.time))
-		}
-		e.heap[0] = heapNode{time: t, seq: r.seq0 + int64(r.next), slot: top.slot}
-		e.siftDown(0)
-	} else {
+// stepLane fires a lane's current event. The lane's node stays at the
+// heap top while step runs — everything step schedules has a greater key
+// — and its next event then takes the node in place, one sift instead of
+// a pop and a push.
+func (e *Engine) stepLane(step func() (Time, bool), top heapNode) {
+	next, ok := step()
+	if !ok {
 		e.popTop()
 		e.freeSlot(top.slot)
+		return
 	}
-	r.fire(i)
+	if next < top.time {
+		panic(fmt.Sprintf("sim: lane event at %d before its predecessor at %d", next, top.time))
+	}
+	e.live++
+	e.heap[0].time = next
+	e.siftDown(0)
 }
 
 // cancelCheckEvery is how many events execute between context checks in

@@ -130,7 +130,7 @@ func (x *Instance) AttachStream(wl *systems.Workload, src stream.Source, f *stre
 }
 
 // attach wires wl's spot provider, feeding it from the materialized job
-// slice when f is nil.
+// slice when src is nil.
 func (x *Instance) attach(wl *systems.Workload, src stream.Source, f *stream.Feeder) error {
 	if err := x.Admit(wl, src); err != nil {
 		return err
@@ -156,10 +156,11 @@ func (x *Instance) attach(wl *systems.Workload, src stream.Source, f *stream.Fee
 		p.submitted = len(wl.Jobs)
 		p.unmet = make(map[int]int)
 		p.dependents = make(map[int][]*job.Job)
-		return systems.FeedActions(x.Sim, f, wl, p.workflowActions(), acquire)
+		systems.FeedActions(x.Sim, wl, p.workflowActions(), acquire)
+		return nil
 	}
 	submit := p.enqueue
-	if f == nil {
+	if src == nil {
 		p.submitted = len(wl.Jobs)
 	} else {
 		submit = func(j *job.Job) {
@@ -225,14 +226,13 @@ type spotProvider struct {
 
 // workflowActions builds one submission action per workflow of the
 // provider's workload, in first-seen order, wiring dependency tracking
-// and enqueueing root tasks — shared by the materialized attach loop and
-// the streamed action lane.
-func (p *spotProvider) workflowActions() []stream.Action {
+// and enqueueing root tasks.
+func (p *spotProvider) workflowActions() []systems.Action {
 	groups := systems.WorkflowGroups(p.wl.Jobs)
-	actions := make([]stream.Action, 0, len(groups))
+	actions := make([]systems.Action, 0, len(groups))
 	for _, g := range groups {
 		tasks := g.Tasks
-		actions = append(actions, stream.Action{At: g.At, Delta: g.Delta, Run: func() {
+		actions = append(actions, systems.Action{At: g.At, Run: func() {
 			for _, t := range tasks {
 				if len(t.Deps) == 0 {
 					continue

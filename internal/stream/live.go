@@ -23,11 +23,18 @@ const DefaultLiveBuffer = 1024
 
 // LiveSource is a channel-backed Source for externally fed runs: HTTP
 // handlers (or any producer goroutine) push validated jobs in, the
-// Feeder pulls them out on the simulation side. The buffer is bounded —
-// that is the backpressure contract: the virtual clock only advances
-// past a refill round once the producer has supplied every record inside
-// the round's horizon, so a slow producer gates simulated time instead
-// of growing memory.
+// run's lane pulls them out on the simulation side. The buffer is
+// bounded — that is the backpressure contract: a lane pulls its first
+// record at attach and each successor right after delivering its
+// current one, so the virtual clock passes a lane's record only once
+// the lane's next record, or Close, arrives. A slow producer gates
+// simulated time instead of growing memory.
+//
+// Several live lanes of one run block the same engine, so a producer
+// feeding them as one interleaved, submit-sorted stream must never
+// place more than the buffer's capacity of one lane's records between
+// two consecutive records of another: the lane the engine waits on
+// would otherwise sit behind a full buffer the engine cannot drain.
 //
 // Next blocks until a record, Close or Fail arrives; because the engine
 // cannot interrupt a blocked event callback, drivers of live runs must
@@ -127,7 +134,7 @@ func (s *LiveSource) Close() error {
 }
 
 // Fail aborts the stream: Next returns err immediately, dropping any
-// buffered jobs. It is how cancellation reaches a Feeder blocked in
+// buffered jobs. It is how cancellation reaches a lane blocked in
 // Next. Fail after Close or Fail is a no-op.
 func (s *LiveSource) Fail(err error) {
 	s.mu.Lock()
@@ -247,7 +254,7 @@ func (f *Feed) CloseAll() {
 	}
 }
 
-// FailAll aborts every lane, unblocking a Feeder waiting on any of them.
+// FailAll aborts every lane, unblocking a run waiting on any of them.
 func (f *Feed) FailAll(err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -29,9 +29,9 @@ func boundedGen() *stream.Gen {
 }
 
 // TestMillionTaskBoundedMemory is the streamed path's capstone guarantee: a
-// one-million-task streamed run holds O(records per stride + lookahead)
-// records resident — thousands, not the million a materialized slice
-// pins — while producing the identical result at comparable wall time.
+// one-million-task streamed run holds one record per lane resident — not
+// the million a materialized slice pins — while producing the identical
+// result at comparable wall time.
 func TestMillionTaskBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1e6-task run; skipped in -short mode")
@@ -89,11 +89,10 @@ func TestMillionTaskBoundedMemory(t *testing.T) {
 		t.Errorf("feeder delivered %d records, want %d", f.Delivered(), boundedCount)
 	}
 
-	// The bounded-memory claim, on the feeder's own instrumentation: at
-	// ~1 task/s the resident high-water mark is one stride-plus-lookahead
-	// window of records (a few thousand), not O(total tasks).
-	if max := f.MaxResident(); max >= boundedCount/50 {
-		t.Errorf("MaxResident = %d: not O(batch) for %d tasks", max, boundedCount)
+	// The bounded-memory claim, on the feeder's own instrumentation: the
+	// resident high-water mark is the lane count, whatever the task count.
+	if max := f.MaxResident(); max > 1 {
+		t.Errorf("MaxResident = %d: want at most 1, the lane count, for %d tasks", max, boundedCount)
 	}
 	if f.Resident() != 0 {
 		t.Errorf("feeder still holds %d records after drain", f.Resident())
@@ -102,7 +101,9 @@ func TestMillionTaskBoundedMemory(t *testing.T) {
 	// Wall-time parity: streaming must not cost more than 1.5× the
 	// materialized run. The absolute slack absorbs scheduler noise when
 	// the suite runs many packages concurrently; the typical ratio is ~1.
-	if limit := matDur + matDur/2 + 500*time.Millisecond; streamDur > limit {
+	limit := matDur + matDur/2 + 500*time.Millisecond
+	t.Logf("streamed %v, materialized %v, limit %v", streamDur, matDur, limit)
+	if streamDur > limit {
 		t.Errorf("streamed run took %v vs materialized %v (limit %v)", streamDur, matDur, limit)
 	}
 }

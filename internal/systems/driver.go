@@ -41,15 +41,14 @@ type Descriptor struct {
 	Owned bool
 }
 
-// Feed streams a run's workloads through one stream.Feeder per instance
-// instead of materialized schedules. A streamed run drained within its
-// horizon is byte-identical to the materialized run of the same jobs
-// (see internal/stream).
+// Feed streams a run's workloads: each HTC workload with a source is
+// pulled from it as one kernel lane of its instance's stream.Feeder, and
+// every other workload attaches materialized. A streamed run drained
+// within its horizon is byte-identical to the materialized run of the
+// same jobs (see internal/stream).
 type Feed struct {
-	// Options tunes every feeder's refill rounds.
-	Options stream.Options
 	// Sources maps workload names to streaming sources; HTC workloads
-	// without one replay their own job slice.
+	// without one attach their own job slice.
 	Sources map[string]stream.Source
 	// Window is the reporting cadence of OnWindow; zero means one day.
 	Window sim.Time
@@ -76,40 +75,34 @@ type Feed struct {
 // merged into a Result byte-identical to the serial run's (see
 // mergeResults). Otherwise the run is serial, on one instance.
 func (d *Descriptor) Execute(ctx context.Context, workloads []Workload, opts Options, feed *Feed) (Result, error) {
-	if feed != nil {
-		if opts.Horizon <= 0 {
-			return Result{}, fmt.Errorf("systems: %s: options.Horizon must be positive for streamed runs", d.Name)
-		}
-		feed.Feeders = nil
-	}
 	horizon := opts.HorizonFor(workloads)
 	bounds := []int{0, len(workloads)}
 	if p := opts.PartitionCount(len(workloads)); p > 1 && opts.PoolCapacity == 0 && (d.Isolated == nil || d.Isolated(workloads)) {
 		bounds = chunkBounds(workloads, p)
 	}
-	insts := make([]Instance, len(bounds)-1)
-	for k := range insts {
-		inst, err := d.open(workloads[bounds[k]:bounds[k+1]], bounds[k], opts, feed)
-		if err != nil {
-			return Result{}, err
-		}
-		insts[k] = inst
-	}
 	var window sim.Time
+	var snap func(k int, inst Instance)
 	var onWindow func(sim.Time, partition.WindowStat)
 	if feed != nil {
+		if opts.Horizon <= 0 {
+			return Result{}, fmt.Errorf("systems: %s: options.Horizon must be positive for streamed runs", d.Name)
+		}
+		feed.Feeders = nil
 		window = feed.Window
 		if window <= 0 {
 			window = sim.Day
 		}
 		if feed.OnWindow != nil {
-			onWindow = observe(insts, window, horizon, feed.OnWindow)
+			snap, onWindow = observe(len(bounds)-1, window, horizon, feed.OnWindow)
 		}
-		for _, f := range feed.Feeders {
-			if err := f.Start(); err != nil {
-				return Result{}, err
-			}
+	}
+	insts := make([]Instance, len(bounds)-1)
+	for k := range insts {
+		inst, err := d.open(workloads[bounds[k]:bounds[k+1]], bounds[k], opts, feed, snap, k)
+		if err != nil {
+			return Result{}, err
 		}
+		insts[k] = inst
 	}
 
 	if len(insts) == 1 {
@@ -147,10 +140,12 @@ func (d *Descriptor) Execute(ctx context.Context, workloads []Workload, opts Opt
 	return mergeResults(d, horizon, setupCostOr(opts, csf.DefaultNodeSetupSeconds), insts, parts), nil
 }
 
-// open opens the instance for chunk, the workloads from serial index
-// first on, and attaches every one of them (through a new feeder
-// appended to feed.Feeders when streamed).
-func (d *Descriptor) open(chunk []Workload, first int, opts Options, feed *Feed) (Instance, error) {
+// open opens the instance for chunk k, the workloads from serial index
+// first on, schedules its window snapshots through snap when set, and
+// attaches every workload (through a new feeder appended to
+// feed.Feeders when streamed). The snapshots go first, so each is
+// issued ahead of every event at its boundary.
+func (d *Descriptor) open(chunk []Workload, first int, opts Options, feed *Feed, snap func(int, Instance), k int) (Instance, error) {
 	capacity := opts.PoolCapacity
 	if capacity == 0 {
 		capacity = UnboundedCapacity
@@ -169,6 +164,9 @@ func (d *Descriptor) open(chunk []Workload, first int, opts Options, feed *Feed)
 	if err != nil {
 		return nil, err
 	}
+	if snap != nil {
+		snap(k, inst)
+	}
 	if feed == nil {
 		for i := range chunk {
 			if err := inst.Attach(&chunk[i]); err != nil {
@@ -177,39 +175,39 @@ func (d *Descriptor) open(chunk []Workload, first int, opts Options, feed *Feed)
 		}
 		return inst, nil
 	}
-	f := stream.NewFeeder(inst.Engine(), feed.Options)
+	f := stream.NewFeeder(inst.Engine())
+	feed.Feeders = append(feed.Feeders, f)
 	for i := range chunk {
 		wl := &chunk[i]
 		if err := inst.AttachStream(wl, feed.Sources[wl.Name], f); err != nil {
 			return nil, fmt.Errorf("systems: %s: attach %s: %w", d.Name, wl.Name, err)
 		}
 	}
-	feed.Feeders = append(feed.Feeders, f)
 	return inst, nil
 }
 
-// observe schedules the window snapshots on every instance clock,
-// before any simulation event at each boundary. A serial run reports
-// from the snapshot event itself; a partitioned one returns the
-// lockstep barrier callback that joins the partitions' rows in serial
-// provider order (chunks are contiguous) once every partition has taken
+// observe returns snap, which schedules partition k's window snapshots
+// on its instance clock, and the lockstep barrier callback of a
+// partitioned run. A serial run reports from the snapshot event itself;
+// a partitioned one joins the partitions' rows in serial provider order
+// (chunks are contiguous) at the barrier, once every partition has taken
 // its snapshot — the partition windows then coincide with the report
 // windows.
-func observe(insts []Instance, window, horizon sim.Time, report func(int, sim.Time, sim.Time, []ProviderWindow)) func(sim.Time, partition.WindowStat) {
-	rows := make([][]ProviderWindow, len(insts))
-	for k, inst := range insts {
+func observe(parts int, window, horizon sim.Time, report func(int, sim.Time, sim.Time, []ProviderWindow)) (snap func(int, Instance), barrier func(sim.Time, partition.WindowStat)) {
+	rows := make([][]ProviderWindow, parts)
+	snap = func(k int, inst Instance) {
 		for i, start := 0, sim.Time(0); start < horizon; i, start = i+1, start+window {
 			end := min(start+window, horizon)
 			inst.Engine().At(end, func() {
 				rows[k] = inst.Window(end)
-				if len(insts) == 1 {
+				if parts == 1 {
 					report(i, start, end, rows[0])
 				}
 			})
 		}
 	}
 	index, start := 0, sim.Time(0)
-	return func(end sim.Time, _ partition.WindowStat) {
+	barrier = func(end sim.Time, _ partition.WindowStat) {
 		var joined []ProviderWindow
 		for _, r := range rows {
 			joined = append(joined, r...)
@@ -217,6 +215,7 @@ func observe(insts []Instance, window, horizon sim.Time, report func(int, sim.Ti
 		report(index, start, end, joined)
 		index, start = index+1, end
 	}
+	return snap, barrier
 }
 
 // chunkBounds cuts the workload list into p contiguous chunks balanced

@@ -41,13 +41,13 @@ func (x *DRPInstance) Attach(wl *Workload) error { return x.attach(wl, nil, nil)
 // AttachStream implements Instance. DRP's per-end-user accounting is
 // inherently O(total jobs): every delivered job creates an owner entry,
 // so only the task schedule (not the accountant) is bounded by the
-// feeder window.
+// lane.
 func (x *DRPInstance) AttachStream(wl *Workload, src stream.Source, f *stream.Feeder) error {
 	return x.attach(wl, src, f)
 }
 
 // attach schedules wl's end-user leases, from the materialized job slice
-// when f is nil.
+// when src is nil.
 func (x *DRPInstance) attach(wl *Workload, src stream.Source, f *stream.Feeder) error {
 	if err := x.Admit(wl, src); err != nil {
 		return err
@@ -55,9 +55,10 @@ func (x *DRPInstance) attach(wl *Workload, src stream.Source, f *stream.Feeder) 
 	if wl.Class == job.MTC {
 		actions, collect := drpWorkflowActions(x.Sim, x.Prov, wl)
 		x.Collect(collect)
-		return FeedActions(x.Sim, f, wl, actions, nil)
+		FeedActions(x.Sim, wl, actions, nil)
+		return nil
 	}
-	if f == nil {
+	if src == nil {
 		x.Collect(runDRPHTC(x.Sim, x.Prov, wl))
 		return nil
 	}
@@ -252,11 +253,11 @@ func (r *drpWorkflowRun) complete(t *job.Job) {
 
 // drpWorkflowActions builds one release action per workflow of wl, in
 // first-seen order, plus the provider-aggregate collector over them.
-func drpWorkflowActions(engine *sim.Engine, prov *csf.ProvisionService, wl *Workload) ([]stream.Action, func(sim.Time) ProviderAgg) {
+func drpWorkflowActions(engine *sim.Engine, prov *csf.ProvisionService, wl *Workload) ([]Action, func(sim.Time) ProviderAgg) {
 	owner := wl.Name + "/mtc"
 	groups := WorkflowGroups(wl.Jobs)
 	runs := make([]*drpWorkflowRun, 0, len(groups))
-	actions := make([]stream.Action, 0, len(groups))
+	actions := make([]Action, 0, len(groups))
 	for _, g := range groups {
 		tasks := g.Tasks
 		run := &drpWorkflowRun{
@@ -269,7 +270,7 @@ func drpWorkflowActions(engine *sim.Engine, prov *csf.ProvisionService, wl *Work
 			first:     g.At,
 		}
 		runs = append(runs, run)
-		actions = append(actions, stream.Action{At: g.At, Delta: g.Delta, Run: func() {
+		actions = append(actions, Action{At: g.At, Run: func() {
 			for _, t := range tasks {
 				if len(t.Deps) == 0 {
 					continue

@@ -66,7 +66,7 @@ func (x *FixedInstance) AttachStream(wl *Workload, src stream.Source, f *stream.
 }
 
 // attach creates wl's fixed-size runtime environment and feeds it, from
-// the materialized job slice when f is nil.
+// the materialized job slice when src is nil.
 func (x *FixedInstance) attach(wl *Workload, src stream.Source, f *stream.Feeder) error {
 	if err := x.Admit(wl, src); err != nil {
 		return err
@@ -86,8 +86,9 @@ func (x *FixedInstance) attach(wl *Workload, src stream.Source, f *stream.Feeder
 		return err
 	}
 	x.Collect(ServerAgg(wl, srv))
-	return FeedActions(x.Sim, f, wl, MTCWorkflowActions(srv.SubmitWorkflow, wl.Name, wl.Jobs, "systems"),
+	FeedActions(x.Sim, wl, MTCWorkflowActions(srv.SubmitWorkflow, wl.Name, wl.Jobs, "systems"),
 		func(first sim.Time) { startAt(x.Sim, first, srv.Start) })
+	return nil
 }
 
 // fixedParams derives the runtime-environment policy parameters the

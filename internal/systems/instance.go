@@ -28,12 +28,10 @@ type Instance interface {
 	Engine() *sim.Engine
 	// Attach schedules wl's materialized job arrivals.
 	Attach(wl *Workload) error
-	// AttachStream admits wl fed through f instead: HTC jobs arrive
-	// from src (nil replays wl's own jobs); MTC workloads keep their
-	// materialized job slice — whole workflows are the streamed unit —
-	// and ride f as an action lane so cross-lane ties replay exactly.
-	// f must belong to this instance's engine and start after every
-	// attach.
+	// AttachStream admits wl with its HTC jobs pulled from src, as one
+	// lane of f, which must belong to this instance's engine. With src
+	// nil, and for MTC workloads (whose whole workflows stay
+	// materialized), it is Attach.
 	AttachStream(wl *Workload, src stream.Source, f *stream.Feeder) error
 	// Accounting exposes the accountant, so a partitioned run can
 	// recompute the global hourly peak over every partition's leases.
@@ -159,19 +157,22 @@ func (p *Platform) Window(t sim.Time) []ProviderWindow {
 // reads.
 type Served interface {
 	Submitted() int
-	CompletedBy(sim.Time) int
+	Completed() int
 	TasksPerSecond() float64
 }
 
 // ServerAgg collects wl's aggregate from its runtime-environment server.
+// Aggregates are read at the current instant (a window snapshot at t, or
+// Finalize once the clock reached the horizon), so the completions so
+// far are the completions by then.
 func ServerAgg(wl *Workload, srv Served) func(sim.Time) ProviderAgg {
-	return func(t sim.Time) ProviderAgg {
+	return func(sim.Time) ProviderAgg {
 		a := ProviderAgg{
 			Name:      wl.Name,
 			Class:     wl.Class,
 			Owners:    []string{wl.Name},
 			Submitted: srv.Submitted(),
-			Completed: srv.CompletedBy(t),
+			Completed: srv.Completed(),
 			Adjusted:  -1,
 		}
 		if wl.Class == job.MTC {
@@ -181,16 +182,13 @@ func ServerAgg(wl *Workload, srv Served) func(sim.Time) ProviderAgg {
 	}
 }
 
-// FeedJobs delivers wl's HTC jobs to submit: from the materialized slice
-// as one engine batch when f is nil, otherwise through f from src
-// (wl's own slice replayed when src is nil). start, when set, runs at
-// the first submission before any job arrives.
+// FeedJobs delivers wl's HTC jobs to submit: pulled from src as one
+// lane of f when src is set, otherwise from the materialized slice as
+// one engine batch. start, when set, runs with the first submission's
+// time before any job is issued.
 func FeedJobs(engine *sim.Engine, f *stream.Feeder, wl *Workload, src stream.Source, start func(first sim.Time), submit func(*job.Job)) error {
-	if f != nil {
-		if src == nil {
-			src = stream.FromJobs(wl.Jobs)
-		}
-		return f.AddJobs(wl.Name, src, start, submit)
+	if src != nil {
+		return f.Attach(wl.Name, src, start, submit)
 	}
 	if start != nil {
 		start(wl.FirstSubmit())
@@ -202,18 +200,14 @@ func FeedJobs(engine *sim.Engine, f *stream.Feeder, wl *Workload, src stream.Sou
 	return nil
 }
 
-// FeedActions issues wl's workflow actions: on the engine at each
-// action's time when f is nil, otherwise as one action lane of f. start,
-// when set, runs at the first submission before any action.
-func FeedActions(engine *sim.Engine, f *stream.Feeder, wl *Workload, actions []stream.Action, start func(first sim.Time)) error {
-	if f != nil {
-		return f.AddActions(wl.Name, actions, start)
-	}
+// FeedActions issues wl's workflow actions on the engine at each
+// action's time, in order. start, when set, runs at the first
+// submission before any action.
+func FeedActions(engine *sim.Engine, wl *Workload, actions []Action, start func(first sim.Time)) {
 	if start != nil {
 		start(wl.FirstSubmit())
 	}
 	for _, a := range actions {
 		engine.At(a.At, a.Run)
 	}
-	return nil
 }

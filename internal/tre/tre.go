@@ -54,7 +54,7 @@ type Server struct {
 
 	submitted   int
 	total       int // jobs expected (for DestroyOnCompletion)
-	completions []sim.Time
+	completed   int
 	firstSubmit sim.Time
 	lastDone    sim.Time
 
@@ -272,7 +272,7 @@ func (s *Server) complete(j *job.Job) {
 	s.busy -= j.Nodes
 	delete(s.running, j)
 	now := s.engine.Now()
-	s.completions = append(s.completions, now)
+	s.completed++
 	s.lastDone = now
 	if s.completeHook != nil {
 		s.completeHook(j)
@@ -280,7 +280,7 @@ func (s *Server) complete(j *job.Job) {
 	// Load queued work onto the freed nodes immediately; waiting for the
 	// next scan would idle them for up to a full scan interval.
 	s.dispatch()
-	if s.cfg.DestroyOnCompletion && len(s.completions) == s.total && s.queue.Len() == 0 && s.busy == 0 {
+	if s.cfg.DestroyOnCompletion && s.completed == s.total && s.queue.Len() == 0 && s.busy == 0 {
 		if err := s.Destroy(); err != nil {
 			panic(fmt.Sprintf("tre: self-destroy of %s: %v", s.cfg.Name, err))
 		}
@@ -339,18 +339,7 @@ func (s *Server) QueueLen() int { return s.queue.Len() }
 func (s *Server) Submitted() int { return s.submitted }
 
 // Completed reports how many jobs finished so far.
-func (s *Server) Completed() int { return len(s.completions) }
-
-// CompletedBy reports how many jobs finished at or before t.
-func (s *Server) CompletedBy(t sim.Time) int {
-	n := 0
-	for _, c := range s.completions {
-		if c <= t {
-			n++
-		}
-	}
-	return n
-}
+func (s *Server) Completed() int { return s.completed }
 
 // Makespan reports the time from first submission to last completion, or 0
 // before anything completed.
@@ -368,7 +357,7 @@ func (s *Server) TasksPerSecond() float64 {
 	if ms <= 0 {
 		return 0
 	}
-	return float64(len(s.completions)) / float64(ms)
+	return float64(s.completed) / float64(ms)
 }
 
 // RunningEnds snapshots running jobs for backfilling schedulers. The

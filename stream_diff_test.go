@@ -15,10 +15,11 @@ import (
 )
 
 // streamedPaperResult runs the paper workloads through the streamed path
-// (every HTC provider replayed as a stream.Source, MTC workflows as a
-// feeder action lane) with the given feeder tuning on the given number
-// of kernel partitions, returning the result and the run's feed.
-func streamedPaperResult(t *testing.T, system string, feeder stream.Options, partitions int) (Result, *systems.Feed) {
+// on the given number of kernel partitions — every HTC provider pulled
+// from an explicit stream.FromJobs source as a kernel lane, MTC
+// workflows attached materialized — returning the result and the run's
+// feed.
+func streamedPaperResult(t *testing.T, system string, partitions int) (Result, *systems.Feed) {
 	t.Helper()
 	wls, err := PaperWorkloads(42)
 	if err != nil {
@@ -28,7 +29,12 @@ func streamedPaperResult(t *testing.T, system string, feeder stream.Options, par
 	if !ok {
 		t.Fatalf("%s has no registered descriptor", system)
 	}
-	feed := &systems.Feed{Options: feeder}
+	feed := &systems.Feed{Sources: make(map[string]stream.Source)}
+	for i := range wls {
+		if wls[i].Class == job.HTC {
+			feed.Sources[wls[i].Name] = stream.FromJobs(wls[i].Jobs)
+		}
+	}
 	res, err := d.Execute(context.Background(), CloneWorkloads(wls),
 		Options{Horizon: TwoWeeks, Seed: 7, Partitions: partitions}, feed)
 	if err != nil {
@@ -39,8 +45,8 @@ func streamedPaperResult(t *testing.T, system string, feeder stream.Options, par
 
 // TestStreamedMatchesMaterialized is the streaming half of the kernel
 // differential suite: for every system in testdata/kernel_golden.json,
-// feeding the paper workloads through the bounded-lookahead streamed
-// path must reproduce the materialized golden Result exactly — same
+// feeding the paper workloads' HTC jobs through stream lanes must
+// reproduce the materialized golden Result exactly — same
 // tables, same adjustment counts, same tie-breaking. This is the
 // byte-identity invariant of internal/stream, pinned end to end — and
 // it must keep doing so when the streamed run is also partitioned
@@ -63,7 +69,7 @@ func TestStreamedMatchesMaterialized(t *testing.T) {
 		system := system
 		t.Run(system, func(t *testing.T) {
 			for _, p := range []int{1, 2, 4} {
-				got, _ := streamedPaperResult(t, system, stream.Options{}, p)
+				got, _ := streamedPaperResult(t, system, p)
 				if !reflect.DeepEqual(got, want[system]) {
 					gotJSON, _ := json.MarshalIndent(got, "", "  ")
 					wantJSON, _ := json.MarshalIndent(want[system], "", "  ")
@@ -71,23 +77,6 @@ func TestStreamedMatchesMaterialized(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestStreamedStrideInvariance pins that the feeder's tuning knobs are
-// invisible to results: stride and lookahead change when records are
-// issued, never their order at equal times.
-func TestStreamedStrideInvariance(t *testing.T) {
-	base, _ := streamedPaperResult(t, "DawningCloud", stream.Options{}, 0)
-	for _, opt := range []stream.Options{
-		{Stride: 600, MinLookahead: 2 * 3600},
-		{Stride: 6 * 3600, MinLookahead: 4 * 3600},
-		{Stride: 24 * 3600, MinLookahead: 2 * 3600},
-	} {
-		got, _ := streamedPaperResult(t, "DawningCloud", opt, 0)
-		if !reflect.DeepEqual(got, base) {
-			t.Errorf("stride %d / lookahead %d changed the result", opt.Stride, opt.MinLookahead)
-		}
 	}
 }
 
@@ -114,22 +103,19 @@ func TestStreamedSourcesDrainFully(t *testing.T) {
 		t.Fatal("paper workloads are empty")
 	}
 
-	// And the feeder must have delivered exactly that many records plus
-	// one action per MTC workflow.
-	_, feed := streamedPaperResult(t, "DCS", stream.Options{}, 0)
+	// And the lanes must have delivered every HTC job.
+	_, feed := streamedPaperResult(t, "DCS", 0)
 	f := feed.Feeders[0]
-	htc, workflows := 0, 0
+	htc := 0
 	for i := range wls {
 		if wls[i].Class == job.HTC {
 			htc += len(wls[i].Jobs)
-		} else {
-			workflows += len(systems.WorkflowGroups(wls[i].Jobs))
 		}
 	}
-	if got, want := f.Delivered(), htc+workflows; got != want {
-		t.Errorf("feeder delivered %d records, want %d (%d HTC jobs + %d workflows)", got, want, htc, workflows)
+	if got := f.Delivered(); got != htc {
+		t.Errorf("lanes delivered %d records, want the %d HTC jobs", got, htc)
 	}
 	if f.Resident() != 0 {
-		t.Errorf("feeder still holds %d records after drain", f.Resident())
+		t.Errorf("lanes still hold %d records after drain", f.Resident())
 	}
 }
